@@ -140,6 +140,29 @@ std::string workload_digest(Protocol proto, std::uint64_t seed) {
   return os.str();
 }
 
+// Per-stack workload_digest(proto, 0x5eed), recorded while the copying
+// twin (NETSTORE_ZEROCOPY=off) was checked to produce it too.
+const char* pinned_digest(Protocol p) {
+  switch (p) {
+    case Protocol::kNfsV2:
+      return "NFS v2 now=12120772924 msgs=156 raw=312 bytes=844222 "
+             "rexmit=0 c2s=156/361254 s2c=156/482968 scpu=65030000 "
+             "ccpu=10175000 end=12120772924 data=190c12ab6fe0636e";
+    case Protocol::kNfsV3:
+      return "NFS v3 now=12088518188 msgs=128 raw=256 bytes=578998 "
+             "rexmit=0 c2s=128/356822 s2c=128/222176 scpu=53990000 "
+             "ccpu=10175000 end=12088518188 data=190c12ab6fe0636e";
+    case Protocol::kNfsV4:
+      return "NFS v4 now=12125737107 msgs=168 raw=336 bytes=591382 "
+             "rexmit=0 c2s=168/362194 s2c=168/229188 scpu=70040000 "
+             "ccpu=10175000 end=12125737107 data=190c12ab6fe0636e";
+    default:
+      return "iSCSI now=12037355656 msgs=148 raw=296 bytes=740224 "
+             "rexmit=0 c2s=148/712128 s2c=148/28096 scpu=36785000 "
+             "ccpu=46010000 end=12037355656 data=190c12ab6fe0636e";
+  }
+}
+
 class ZerocopyIdentity : public ::testing::TestWithParam<Protocol> {};
 
 // The tentpole identity: reference-passing on vs the copying twin must
@@ -153,6 +176,7 @@ TEST_P(ZerocopyIdentity, OffModeDigestMatchesOnMode) {
   ASSERT_FALSE(on.empty());
   ASSERT_FALSE(off.empty());
   EXPECT_EQ(on, off);
+  EXPECT_EQ(on, pinned_digest(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, ZerocopyIdentity,
