@@ -4,11 +4,7 @@
 // the simulator's own hot loops with the host clock:
 //
 //   events/sec    a self-rescheduling daemon workload drained through the
-//                 event loop.  Run twice: once on the current engine
-//                 (sim::Task + 4-ary heap) and once on an embedded copy of
-//                 the pre-overhaul engine (std::function + std::priority_
-//                 queue with copy-before-pop), so the speedup is measured,
-//                 not asserted.
+//                 event loop (sim::Task payloads on the timing wheel).
 //   syscalls/sec  warm-cache reads driven through a full Testbed VFS stack
 //                 (protocol, caches, RAID — the end-to-end per-op cost).
 //
@@ -32,26 +28,17 @@
 //                 list, so this is ~0 once caches are warm.
 //
 //   copy scaling  charged copy bytes per warm syscall across I/O sizes
-//                 (4 KB..64 KB, iSCSI and NFSv3): with the zero-copy
-//                 plane on, every charged copy is a user-boundary
-//                 crossing, so below-boundary bytes/syscall is ~0 in the
-//                 warm steady state (DESIGN.md §19).
-//
-//   zerocopy speedup  NFSv3 64 KB cold-client reads (caches invalidated
-//                 per op, server page cache warm) run twice in-process:
-//                 NETSTORE_ZEROCOPY on (frames adopted across layers)
-//                 and off (the legacy copying twin), so the win from
-//                 moving references instead of bytes is measured, not
-//                 asserted.
+//                 (4 KB..64 KB, iSCSI and NFSv3): every charged copy is
+//                 a user-boundary crossing, so below-boundary
+//                 bytes/syscall is ~0 in the warm steady state
+//                 (DESIGN.md §19).
 //
 //   timer ops/sec  the cancellable-timer churn the wheel exists for
 //                 (DESIGN.md §18): arm N timers spread across the wheel
 //                 levels, cancel half by handle, fire the rest.  Run per
-//                 depth (10^2..10^6 pending) on both backends — the
-//                 hierarchical wheel (O(1) amortized per op) and the
-//                 NETSTORE_TIMER=heap 4-ary heap (O(log n) pushes plus
-//                 tombstone pops) — so the speedup is measured, not
-//                 asserted.  The CI gate pins the 10^5-pending point.
+//                 depth (10^2..10^6 pending); O(1) per op means the rate
+//                 stays flat with depth.  The CI gate pins the
+//                 10^5-pending point.
 //
 //   shard speedup  (--shards N) the sharded parallel drive (DESIGN.md
 //                 §17): an NFSv3 fleet of --shard-clients flyweights
@@ -62,13 +49,11 @@
 //
 //   bench_sim_selfperf [--events N] [--syscalls N] [--json PATH]
 //                      [--shards N] [--shard-clients N] [--shard-ops N]
-//                      [--zerocopy-ops N]
 //                      [--min-events-per-sec X] [--min-sweep-speedup X]
 //                      [--min-fork-speedup X] [--min-shard-speedup X]
-//                      [--min-timer-ops-per-sec X] [--min-timer-speedup X]
+//                      [--min-timer-ops-per-sec X]
 //                      [--max-allocs-per-syscall X]
 //                      [--max-copied-bytes-per-syscall X]
-//                      [--min-zerocopy-speedup X]
 //
 // The --min-*/--max-* flags make the binary a CI gate: exit 1 if any
 // measured value lands on the wrong side of its floor/ceiling.
@@ -78,9 +63,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,9 +71,7 @@
 #include "bench_common.h"
 #include "core/buffer_pool.h"
 #include "core/checkpoint.h"
-#include "core/iovec.h"
 #include "core/testbed.h"
-#include "nfs/client.h"
 #include "obs/report.h"
 #include "sim/env.h"
 #include "sim/rng.h"
@@ -105,61 +86,15 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// --- the pre-overhaul event engine, embedded as the baseline -------------
-//
-// Verbatim shape of sim::Env before the hot-path overhaul: type-erased
-// std::function callbacks in a std::priority_queue, with the documented
-// copy-before-pop ("the callback may schedule new events").  Kept here so
-// the before/after numbers in EXPERIMENTS.md regenerate from one binary.
-class LegacyEnv {
- public:
-  [[nodiscard]] netstore::sim::Time now() const { return now_; }
-
-  void schedule_at(netstore::sim::Time at, std::function<void()> fn) {
-    queue_.push(Event{at, next_seq_++, std::move(fn)});
-  }
-  void schedule_after(netstore::sim::Duration after,
-                      std::function<void()> fn) {
-    schedule_at(now_ + after, std::move(fn));
-  }
-
-  void drain() {
-    while (!queue_.empty()) {
-      Event ev = queue_.top();  // copy: top() is const&, fn is copied
-      queue_.pop();
-      if (ev.at > now_) now_ = ev.at;
-      ev.fn();
-    }
-  }
-
- private:
-  struct Event {
-    netstore::sim::Time at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  netstore::sim::Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
 // --- events/sec ----------------------------------------------------------
 //
 // `chains` concurrent daemons, each rescheduling itself at a staggered
 // period until the shared budget runs out — the flusher/journal/lease
 // pattern that dominates real runs.  The capture mirrors an I/O
 // completion closure (context pointers plus a file handle and offset):
-// 40 bytes, exactly sim::Task's inline storage, while under LegacyEnv
-// every schedule heap-allocates and every dispatch copy-clones it.
-template <typename EnvT>
+// 40 bytes, exactly sim::Task's inline storage.
 struct Tick {
-  EnvT* env;
+  netstore::sim::Env* env;
   std::uint64_t* remaining;
   std::uint64_t period;
   std::uint64_t fh;      // completion payload: file handle...
@@ -173,14 +108,13 @@ struct Tick {
   }
 };
 
-template <typename EnvT>
 double events_per_sec(std::uint64_t total_events, int chains) {
-  EnvT env;
+  netstore::sim::Env env;
   std::uint64_t remaining = total_events;
   for (int i = 0; i < chains; ++i) {
     const auto u = static_cast<std::uint64_t>(i);
     env.schedule_after(i + 1,
-                       Tick<EnvT>{&env, &remaining, u % 7 + 1, u, u * 4096});
+                       Tick{&env, &remaining, u % 7 + 1, u, u * 4096});
   }
   const auto t0 = Clock::now();
   env.drain();
@@ -188,25 +122,19 @@ double events_per_sec(std::uint64_t total_events, int chains) {
   return static_cast<double>(total_events + chains) / dt;
 }
 
-// --- timer ops/sec (hierarchical wheel vs 4-ary heap, DESIGN.md §18) -----
+// --- timer ops/sec (hierarchical wheel, DESIGN.md §18) -------------------
 //
 // The depth question the wheel answers: how fast are near-term
 // schedule/cancel/fire operations while a large *standing set* of
 // pending timers sits underneath — a million fleet arrivals, thousands
 // of armed retransmission timers.  Per depth: arm `pending` far-future
 // timers (untimed), then run a timed churn of short-deadline timers over
-// them — arm, cancel half by handle, fire the rest by advancing.  On the
-// wheel the churn lives in the lowest levels and never touches the
-// standing set (O(1) per op regardless of depth); the heap pays
-// O(log depth) to sift every push through the standing set and carries
-// every cancellation as a tombstone to its pop.
+// them — arm, cancel half by handle, fire the rest by advancing.  The
+// churn lives in the wheel's lowest levels and never touches the
+// standing set, so the rate is O(1) per op regardless of depth.
 struct TimerPoint {
   std::uint64_t pending = 0;
-  double wheel_ops_per_sec = 0.0;
-  double heap_ops_per_sec = 0.0;
-  [[nodiscard]] double speedup() const {
-    return heap_ops_per_sec > 0 ? wheel_ops_per_sec / heap_ops_per_sec : 0.0;
-  }
+  double ops_per_sec = 0.0;
 };
 
 // One churn pass: batches of near-term timers (the RPC pattern: every
@@ -234,16 +162,8 @@ std::uint64_t timer_churn(netstore::sim::Env& env, std::uint64_t churn_ops,
   return ops;
 }
 
-double timer_ops_per_sec(bool heap_backend, std::uint64_t pending,
-                         std::uint64_t churn_ops) {
-  if (heap_backend) {
-    ::setenv("NETSTORE_TIMER", "heap", 1);
-  } else {
-    ::unsetenv("NETSTORE_TIMER");
-  }
+double timer_ops_per_sec(std::uint64_t pending, std::uint64_t churn_ops) {
   netstore::sim::Env env;
-  ::unsetenv("NETSTORE_TIMER");  // Env read it in its constructor
-  if (env.uses_wheel() == heap_backend) std::abort();
 
   // Standing set: deadlines spread far beyond the churn window, so none
   // fires during the measurement (untimed — depth is the variable here,
@@ -274,13 +194,11 @@ std::vector<TimerPoint> timer_scaling() {
                                 std::uint64_t{1'000'000}}) {
     TimerPoint pt;
     pt.pending = pending;
-    // Best of two interleaved reps per backend: a single rep is at the
-    // mercy of frequency scaling and whatever else shares the machine.
+    // Best of two reps: a single rep is at the mercy of frequency
+    // scaling and whatever else shares the machine.
     for (int rep = 0; rep < 2; ++rep) {
-      pt.wheel_ops_per_sec = std::max(
-          pt.wheel_ops_per_sec, timer_ops_per_sec(false, pending, kChurnOps));
-      pt.heap_ops_per_sec = std::max(
-          pt.heap_ops_per_sec, timer_ops_per_sec(true, pending, kChurnOps));
+      pt.ops_per_sec =
+          std::max(pt.ops_per_sec, timer_ops_per_sec(pending, kChurnOps));
     }
     points.push_back(pt);
   }
@@ -340,8 +258,8 @@ struct CopyPoint {
   // below-boundary staging the plane failed to eliminate.
   double copied_per_syscall = 0.0;
   // (bytes_copied - bytes_read - bytes_written) / ops: copies that are
-  // NOT user-boundary crossings.  ~0 in the warm steady state with the
-  // plane on — this is what --max-copied-bytes-per-syscall gates.
+  // NOT user-boundary crossings.  ~0 in the warm steady state — this is
+  // what --max-copied-bytes-per-syscall gates.
   double below_boundary_per_syscall = 0.0;
 };
 
@@ -400,66 +318,6 @@ std::vector<CopyPoint> copy_scaling(std::uint64_t ops) {
     }
   }
   return points;
-}
-
-// --- zerocopy speedup (reference-passing vs the copying twin) ------------
-
-struct ZerocopyPerf {
-  double on_ops_per_sec = 0.0;   // NETSTORE_ZEROCOPY default: frames move
-  double off_ops_per_sec = 0.0;  // escape hatch: every crossing copies
-  [[nodiscard]] double speedup() const {
-    return off_ops_per_sec > 0 ? on_ops_per_sec / off_ops_per_sec : 0.0;
-  }
-};
-
-// One phase: 64 KB NFSv3 reads with the client caches dropped before
-// every op, so each read crosses the wire (8 RPCs at the v3 transfer
-// limit) while the server page cache stays warm.  That makes the timed
-// work exactly the data plane: server cache -> RPC reply -> client page
-// cache -> user buffer, per op.
-double zerocopy_phase(std::uint64_t ops) {
-  netstore::core::Testbed bed(netstore::core::Protocol::kNfsV3);
-  constexpr std::uint32_t kIoBytes = 64 * 1024;
-
-  auto fd = bed.vfs().creat("/zc", 0644);
-  if (!fd.ok()) std::abort();
-  std::vector<std::uint8_t> buf(kIoBytes, 0x7d);
-  if (!bed.vfs().write(*fd, 0, buf).ok()) std::abort();
-  if (!bed.vfs().fsync(*fd).ok()) std::abort();
-
-  std::vector<std::uint8_t> rd(kIoBytes);
-  bed.nfs_client().invalidate_caches();
-  (void)bed.vfs().read(*fd, 0, rd);  // warm the server page cache
-
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    bed.nfs_client().invalidate_caches();
-    if (!bed.vfs().read(*fd, 0, rd).ok()) std::abort();
-  }
-  const double dt = seconds_since(t0);
-  (void)bed.vfs().close(*fd);
-  return static_cast<double>(ops) / dt;
-}
-
-ZerocopyPerf zerocopy_speedup(std::uint64_t ops) {
-  ZerocopyPerf res;
-  auto& pool = netstore::core::BufferPool::instance();
-  // Best of two interleaved reps per mode (same rationale as the timer
-  // scaling: one rep is at the mercy of frequency scaling).
-  for (int rep = 0; rep < 2; ++rep) {
-    netstore::core::set_zerocopy(true);
-    res.on_ops_per_sec = std::max(res.on_ops_per_sec, zerocopy_phase(ops));
-    // The OFF twin stages through charged copies that are not
-    // user-boundary crossings, which would break the exported
-    // bytes_copied <= bytes_read + bytes_written invariant in the pool
-    // snapshot below; save the counters around the phase.
-    const netstore::core::BufferPool::CopyStats saved = pool.copy_stats();
-    netstore::core::set_zerocopy(false);
-    res.off_ops_per_sec = std::max(res.off_ops_per_sec, zerocopy_phase(ops));
-    netstore::core::set_zerocopy(true);
-    pool.set_copy_stats(saved);
-  }
-  return res;
 }
 
 // --- sweep speedup (warm-state checkpoint/fork, DESIGN.md §13) -----------
@@ -662,13 +520,11 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--events N] [--syscalls N] [--json PATH] "
                "[--shards N] [--shard-clients N] [--shard-ops N] "
-               "[--zerocopy-ops N] "
                "[--min-events-per-sec X] [--min-sweep-speedup X] "
                "[--min-fork-speedup X] [--min-shard-speedup X] "
-               "[--min-timer-ops-per-sec X] [--min-timer-speedup X] "
+               "[--min-timer-ops-per-sec X] "
                "[--max-allocs-per-syscall X] "
-               "[--max-copied-bytes-per-syscall X] "
-               "[--min-zerocopy-speedup X]\n",
+               "[--max-copied-bytes-per-syscall X]\n",
                argv0);
   return 2;
 }
@@ -694,13 +550,10 @@ int main(int argc, char** argv) {
   double min_fork_speedup = 0.0;
   double min_shard_speedup = 0.0;
   double min_timer_ops_per_sec = 0.0;
-  double min_timer_speedup = 0.0;
   double max_allocs_per_syscall = -1.0;
   double max_copied_bytes_per_syscall = -1.0;
-  double min_zerocopy_speedup = 0.0;
-  std::uint64_t zerocopy_ops = 2'000;
-  // The depth the --min-timer-* gates pin: deep enough that the heap's
-  // O(log n) and tombstone churn bite, shallow enough to stay cheap.
+  // The depth the --min-timer-ops-per-sec gate pins: a deep standing set
+  // that stays cheap to build.
   constexpr std::uint64_t kGatedTimerDepth = 100'000;
 
   for (int i = 1; i < argc; ++i) {
@@ -731,16 +584,10 @@ int main(int argc, char** argv) {
       min_shard_speedup = std::strtod(argv[++i], nullptr);
     } else if (arg == "--min-timer-ops-per-sec" && has_value) {
       min_timer_ops_per_sec = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-timer-speedup" && has_value) {
-      min_timer_speedup = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-allocs-per-syscall" && has_value) {
       max_allocs_per_syscall = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-copied-bytes-per-syscall" && has_value) {
       max_copied_bytes_per_syscall = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-zerocopy-speedup" && has_value) {
-      min_zerocopy_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--zerocopy-ops" && has_value) {
-      zerocopy_ops = std::strtoull(argv[++i], nullptr, 10);
     } else {
       return usage(argv[0]);
     }
@@ -751,14 +598,11 @@ int main(int argc, char** argv) {
       netstore::sim::Task::inline_constructions();
   const std::uint64_t heap_before = netstore::sim::Task::heap_constructions();
 
-  const double current = events_per_sec<netstore::sim::Env>(n_events, kChains);
+  const double current = events_per_sec(n_events, kChains);
   const std::uint64_t inline_delta =
       netstore::sim::Task::inline_constructions() - inline_before;
   const std::uint64_t heap_delta =
       netstore::sim::Task::heap_constructions() - heap_before;
-
-  const double legacy = events_per_sec<LegacyEnv>(n_events, kChains);
-  const double speedup = legacy > 0 ? current / legacy : 0.0;
 
   const std::vector<TimerPoint> timer_points = timer_scaling();
 
@@ -768,7 +612,6 @@ int main(int argc, char** argv) {
       syscalls_per_sec(netstore::core::Protocol::kNfsV3, n_syscalls);
 
   const std::vector<CopyPoint> copy_points = copy_scaling(n_syscalls / 10);
-  const ZerocopyPerf zc = zerocopy_speedup(zerocopy_ops);
 
   const SweepResult sweep = sweep_speedup(
       {netstore::core::Protocol::kNfsV2, netstore::core::Protocol::kNfsV3,
@@ -789,22 +632,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%-24s %16s\n", "metric", "per second");
-  std::printf("%-24s %16.0f\n", "events (current)", current);
-  std::printf("%-24s %16.0f\n", "events (legacy)", legacy);
-  std::printf("%-24s %16.2f\n", "events speedup", speedup);
+  std::printf("%-24s %16.0f\n", "events", current);
   std::printf("%-24s %16.0f\n", "syscalls (iSCSI warm)", sys_iscsi.ops_per_sec);
   std::printf("%-24s %16.0f\n", "syscalls (NFSv3 warm)", sys_nfsv3.ops_per_sec);
   double gated_timer_ops = 0.0;
-  double gated_timer_x = 0.0;
   for (const TimerPoint& pt : timer_points) {
-    if (pt.pending == kGatedTimerDepth) {
-      gated_timer_ops = pt.wheel_ops_per_sec;
-      gated_timer_x = pt.speedup();
-    }
-    std::printf("timers %8llu pending: wheel %12.0f ops/s, heap %12.0f "
-                "ops/s, speedup %.2fx\n",
-                static_cast<unsigned long long>(pt.pending),
-                pt.wheel_ops_per_sec, pt.heap_ops_per_sec, pt.speedup());
+    if (pt.pending == kGatedTimerDepth) gated_timer_ops = pt.ops_per_sec;
+    std::printf("timers %8llu pending: %12.0f ops/s\n",
+                static_cast<unsigned long long>(pt.pending), pt.ops_per_sec);
   }
   std::printf("task inline/heap constructions: %llu / %llu\n",
               static_cast<unsigned long long>(inline_delta),
@@ -821,9 +656,6 @@ int main(int argc, char** argv) {
                 pt.ops_per_sec, pt.copied_per_syscall,
                 pt.below_boundary_per_syscall);
   }
-  std::printf("zerocopy (NFSv3 64 KB cold-client reads): on %.0f ops/s, "
-              "off %.0f ops/s, speedup %.2fx\n",
-              zc.on_ops_per_sec, zc.off_ops_per_sec, zc.speedup());
   std::printf("sweep (%d points): scratch %.0f ms, forked %.0f ms, "
               "speedup %.2fx\n",
               sweep.points, sweep.scratch_ms, sweep.forked_ms, sweep_x);
@@ -853,24 +685,16 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     netstore::obs::Report report("bench_sim_selfperf",
                                  "simulator hot-path wall-clock throughput");
-    auto& t = report.table(
-        "selfperf", {"benchmark", "engine", "ops", "ops_per_sec"});
-    t.row({"events", "current", n_events + kChains, current});
-    t.row({"events", "legacy", n_events + kChains, legacy});
-    t.row({"syscalls_iscsi_warm", "current", n_syscalls,
-           sys_iscsi.ops_per_sec});
-    t.row({"syscalls_nfsv3_warm", "current", n_syscalls,
-           sys_nfsv3.ops_per_sec});
+    auto& t = report.table("selfperf", {"benchmark", "ops", "ops_per_sec"});
+    t.row({"events", n_events + kChains, current});
+    t.row({"syscalls_iscsi_warm", n_syscalls, sys_iscsi.ops_per_sec});
+    t.row({"syscalls_nfsv3_warm", n_syscalls, sys_nfsv3.ops_per_sec});
     auto& s = report.table("task_storage", {"counter", "value"});
     s.row({"inline_constructions", inline_delta});
     s.row({"heap_constructions", heap_delta});
-    s.row({"events_speedup_x", speedup});
-    auto& tm = report.table(
-        "timer_scaling",
-        {"pending", "wheel_ops_per_sec", "heap_ops_per_sec", "speedup_x"});
+    auto& tm = report.table("timer_scaling", {"pending", "ops_per_sec"});
     for (const TimerPoint& pt : timer_points) {
-      tm.row({pt.pending, pt.wheel_ops_per_sec, pt.heap_ops_per_sec,
-              pt.speedup()});
+      tm.row({pt.pending, pt.ops_per_sec});
     }
     auto& sw = report.table("checkpoint_sweep", {"metric", "value"});
     sw.row({"points", static_cast<std::uint64_t>(sweep.points)});
@@ -907,10 +731,6 @@ int main(int argc, char** argv) {
               static_cast<std::uint64_t>(pt.io_bytes), pt.ops_per_sec,
               pt.copied_per_syscall, pt.below_boundary_per_syscall});
     }
-    auto& zt = report.table("zerocopy", {"metric", "value"});
-    zt.row({"on_ops_per_sec", zc.on_ops_per_sec});
-    zt.row({"off_ops_per_sec", zc.off_ops_per_sec});
-    zt.row({"zerocopy_speedup_x", zc.speedup()});
     // Pool telemetry rides along unconditionally here: this bench exists
     // to watch the simulator's own mechanics, and its output is not part
     // of any byte-identity comparison.
@@ -959,15 +779,6 @@ int main(int argc, char** argv) {
                  min_timer_ops_per_sec);
     return 1;
   }
-  if (min_timer_speedup > 0 && gated_timer_x < min_timer_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: wheel-vs-heap timer speedup %.2fx at %llu pending "
-                 "below floor %.2fx\n",
-                 gated_timer_x,
-                 static_cast<unsigned long long>(kGatedTimerDepth),
-                 min_timer_speedup);
-    return 1;
-  }
   if (max_allocs_per_syscall >= 0) {
     const double worst =
         std::max(sys_iscsi.allocs_per_syscall, sys_nfsv3.allocs_per_syscall);
@@ -984,12 +795,6 @@ int main(int argc, char** argv) {
                  "FAIL: %.0f below-boundary copied bytes/syscall above "
                  "ceiling %.0f\n",
                  worst_below_boundary, max_copied_bytes_per_syscall);
-    return 1;
-  }
-  if (min_zerocopy_speedup > 0 && zc.speedup() < min_zerocopy_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: zerocopy speedup %.2fx below floor %.2fx\n",
-                 zc.speedup(), min_zerocopy_speedup);
     return 1;
   }
   return 0;

@@ -35,8 +35,8 @@ void Disk::write_data(Lba lba, BlockView data) {
   // cache layer above) is frozen, copy-on-write.  The full block is
   // overwritten, so a fresh frame needs no copy of the old contents.
   if (!slot || slot.shared()) slot = core::BufferPool::instance().alloc();
-  // Media store of a view payload (metadata and the NETSTORE_ZEROCOPY=off
-  // path); ref-shaped payloads adopt via write_ref() instead.
+  // Parity and rebuild images computed in place; payload blocks adopt
+  // via write_ref() instead.
   // netstore-lint: allow(raw-datapath-memcpy)
   std::memcpy(slot.mutable_data(), data.data(), kBlockSize);
 }

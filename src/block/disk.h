@@ -57,7 +57,8 @@ class Disk {
   void write_data(Lba lba, BlockView data);
 
   /// Adopts `data` at `lba`: shares the caller's frame instead of
-  /// copying its bytes — the zero-copy twin of write_data().  Storing
+  /// copying its bytes (write_data() is for images computed in place,
+  /// such as parity).  Storing
   /// shares, never mutates, so the caller's handle stays valid and any
   /// later write_data() un-shares first.
   void write_ref(Lba lba, const core::BufRef& data);

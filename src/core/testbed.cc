@@ -377,10 +377,9 @@ StatsSnapshot Testbed::snapshot() const {
 }
 
 void Testbed::register_metrics() {
-  // Engine scheduling telemetry (DESIGN.md §18).  scheduled/fired/
-  // cancelled are backend-independent; cascades is wheel-only and is the
-  // one key CI strips before byte-comparing NETSTORE_TIMER=heap runs
-  // against wheel runs.
+  // Engine scheduling telemetry (DESIGN.md §18).  cascades counts the
+  // wheel's overflow-bucket refiling work, so it tracks how far ahead
+  // timers are armed, not how many there are.
   sim::TimerStats& ts = env_.mutable_timer_stats();
   metrics_.adopt_counter("sim.timer.scheduled", ts.scheduled);
   metrics_.adopt_counter("sim.timer.fired", ts.fired);

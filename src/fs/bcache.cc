@@ -1,5 +1,9 @@
 #include "fs/bcache.h"
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "core/check.h"
 
 namespace netstore::fs {
@@ -36,18 +40,19 @@ Bcache::Entry& Bcache::insert(block::Lba lba, bool read_from_device) {
   maybe_evict();
   Entry& e = map_[lba];
   e.lba = lba;
-  e.buf = core::BufferPool::instance().alloc();
-  e.buf.mutable_block().fill(0);
   // Register before the device read: the read advances the clock, which
   // may fire daemons that re-enter this cache; they must see a stable
   // map/LRU.  The entry is pinned (`loading`) until the data is in.
   lru_.push_front(&e);
   if (read_from_device) {
     e.loading = true;
-    dev_.read(lba, 1,
-              std::span<std::uint8_t>{e.buf.mutable_data(),
-                                      block::kBlockSize});
+    std::vector<core::BufRef> refs;
+    dev_.read(lba, 1, refs);
+    e.buf = std::move(refs[0]);  // adopts the device's frame
     e.loading = false;
+  } else {
+    e.buf = core::BufferPool::instance().alloc();
+    e.buf.mutable_block().fill(0);
   }
   return e;
 }
@@ -80,26 +85,34 @@ void Bcache::maybe_evict() {
   }
 }
 
-block::BlockBuf& Bcache::get(block::Lba lba) {
+Bcache::Entry& Bcache::lookup(block::Lba lba) {
   auto it = map_.find(lba);
-  if (it != map_.end()) {
-    hits_.add(1);
-    lru_.touch(&it->second);
-    return it->second.buf.mutable_block();
+  if (it == map_.end()) {
+    misses_.add(1);
+    return insert(lba, /*read_from_device=*/true);
   }
-  misses_.add(1);
-  return insert(lba, /*read_from_device=*/true).buf.mutable_block();
+  // A loading entry has no contents yet; only a daemon dispatched by the
+  // very device read that fills it could reach it here.
+  NETSTORE_CHECK(!it->second.loading, "re-entrant access to a loading block");
+  hits_.add(1);
+  lru_.touch(&it->second);
+  return it->second;
 }
 
-core::BufRef Bcache::get_ref(block::Lba lba) {
-  auto it = map_.find(lba);
-  if (it != map_.end()) {
-    hits_.add(1);
-    lru_.touch(&it->second);
-    return it->second.buf;
-  }
-  misses_.add(1);
-  return insert(lba, /*read_from_device=*/true).buf;
+block::BlockBuf& Bcache::get(block::Lba lba) {
+  return lookup(lba).buf.mutable_block();
+}
+
+core::BufRef Bcache::snapshot(block::Lba lba) {
+  return copy_of(lookup(lba).buf);
+}
+
+core::BufRef Bcache::copy_of(const core::BufRef& src) {
+  core::BufRef copy = core::BufferPool::instance().alloc();
+  // Metadata block image, not payload.
+  // netstore-lint: allow(raw-datapath-memcpy)
+  std::memcpy(copy.mutable_data(), src.data(), block::kBlockSize);
+  return copy;
 }
 
 block::BlockBuf& Bcache::get_new(block::Lba lba) {
@@ -136,10 +149,9 @@ bool Bcache::is_dirty(block::Lba lba) const {
 void Bcache::checkpoint(block::Lba lba, block::WriteMode mode) {
   auto it = map_.find(lba);
   if (it == map_.end() || !it->second.dirty) return;
+  const core::BufRef image = copy_of(it->second.buf);
+  dev_.write(lba, {&image, 1}, mode);
   Entry& e = it->second;
-  dev_.write(lba, 1,
-             std::span<const std::uint8_t>{e.buf.data(), block::kBlockSize},
-             mode);
   e.dirty = false;
   dirty_count_--;
 }

@@ -32,12 +32,14 @@ class Bcache {
   /// lazily, so fork cost is O(blocks touched afterwards).
   block::BlockBuf& get(block::Lba lba);
 
-  /// Shared read-only handle to the block — the zero-copy read used by
-  /// journal staging.  Counter and recency behaviour is identical to
-  /// get() (one hit or miss, one LRU touch), so swapping get() for
-  /// get_ref() never perturbs metric snapshots.  The handle is a
-  /// snapshot: later get() mutations un-share away from it.
-  [[nodiscard]] core::BufRef get_ref(block::Lba lba);
+  /// A private copy of the block's current contents, as a pooled frame —
+  /// what the journal logs and checkpoints hand the device.  A copy, not
+  /// a share: file-system code mutates cached blocks through references
+  /// held across calls, and a frame the device had adopted would carry
+  /// those later writes onto the disk image ahead of their transaction.
+  /// Counter and recency behaviour is identical to get() (one hit or
+  /// miss, one LRU touch).
+  [[nodiscard]] core::BufRef snapshot(block::Lba lba);
 
   /// Returns a zeroed buffer for `lba` *without* reading the device — for
   /// freshly allocated blocks the caller fully initializes.
@@ -94,7 +96,10 @@ class Bcache {
     bool loading = false;
   };
 
+  /// Hit/miss-counted, LRU-touching lookup; reads the block on a miss.
+  Entry& lookup(block::Lba lba);
   Entry& insert(block::Lba lba, bool read_from_device);
+  [[nodiscard]] static core::BufRef copy_of(const core::BufRef& src);
   void maybe_evict();
 
   block::BlockDevice& dev_;

@@ -94,6 +94,14 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
   }
 
   std::vector<std::uint8_t> buf(kBlockSize);
+  // Each finished metadata block goes to the device in a frame of its own.
+  auto write_buf = [&dev, &buf](Lba lba) {
+    core::BufRef frame = core::BufferPool::instance().alloc();
+    // mkfs metadata image, not payload.
+    // netstore-lint: allow(raw-datapath-memcpy)
+    std::memcpy(frame.mutable_data(), buf.data(), kBlockSize);
+    dev.write(lba, {&frame, 1}, block::WriteMode::kAsync);
+  };
 
   // Per-group block bitmaps: mark metadata blocks (and, in group 0, the
   // superblock/GDT/journal; in the last group, blocks beyond the device)
@@ -132,7 +140,7 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
       used += static_cast<std::uint32_t>(std::popcount(byte));
     }
     groups[g].free_blocks = kBlocksPerGroup - used;
-    dev.write(groups[g].block_bitmap, 1, buf, block::WriteMode::kAsync);
+    write_buf(groups[g].block_bitmap);
 
     // Inode bitmap: all free, except inode 1 (root) in group 0 and, in a
     // short last group, inodes whose table block lies past the device end
@@ -154,7 +162,7 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
       buf[0] |= 1;
       groups[g].free_inodes--;
     }
-    dev.write(groups[g].inode_bitmap, 1, buf, block::WriteMode::kAsync);
+    write_buf(groups[g].inode_bitmap);
   }
 
   // Root inode (ino 1 = group 0, index 0): empty directory.
@@ -163,7 +171,7 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
   root.mode = make_mode(FileType::kDirectory, 0755);
   root.nlink = 2;
   root.encode(buf.data());
-  dev.write(groups[0].inode_table, 1, buf, block::WriteMode::kAsync);
+  write_buf(groups[0].inode_table);
 
   // GDT.
   std::fill(buf.begin(), buf.end(), 0);
@@ -171,11 +179,11 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
     groups[g].encode(buf.data() +
                      static_cast<std::size_t>(g) * GroupDesc::kEncodedSize);
   }
-  dev.write(1, 1, buf, block::WriteMode::kAsync);
+  write_buf(1);
 
   // Superblock last.
   sb.encode(block::MutBlockView{buf.data(), kBlockSize});
-  dev.write(0, 1, buf, block::WriteMode::kAsync);
+  write_buf(0);
   dev.flush();
 }
 
@@ -210,9 +218,9 @@ void Ext3Fs::mount() {
 
   // Mark mounted-dirty on disk so a crash triggers replay.
   sb_.clean = 0;
-  std::vector<std::uint8_t> buf(kBlockSize);
-  sb_.encode(block::MutBlockView{buf.data(), kBlockSize});
-  dev_.write(0, 1, buf, block::WriteMode::kAsync);
+  core::BufRef buf = core::BufferPool::instance().alloc();
+  sb_.encode(buf.mutable_view());
+  dev_.write(0, {&buf, 1}, block::WriteMode::kAsync);
 
   journal_ = std::make_unique<Journal>(env_, dev_, *bcache_, sb_,
                                        params_.commit_interval);
@@ -227,9 +235,9 @@ void Ext3Fs::unmount() {
   journal_->sync();
   journal_->stop();
   sb_.clean = 1;
-  std::vector<std::uint8_t> buf(kBlockSize);
-  sb_.encode(block::MutBlockView{buf.data(), kBlockSize});
-  dev_.write(0, 1, buf, block::WriteMode::kSync);
+  core::BufRef buf = core::BufferPool::instance().alloc();
+  sb_.encode(buf.mutable_view());
+  dev_.write(0, {&buf, 1}, block::WriteMode::kSync);
   dev_.flush();
   bcache_->drop_clean_all();
   readstate_.clear();
@@ -1103,7 +1111,7 @@ Status Ext3Fs::setattr(Ino ino, const SetAttr& sa) {
           const std::uint64_t index = new_size / kBlockSize;
           if (!pages_->contains(ino, index)) {
             std::vector<core::BufRef> refs;
-            dev_.read_refs(*last, 1, refs);
+            dev_.read(*last, 1, refs);
             pages_->insert_clean_ref(ino, index, *last, std::move(refs[0]),
                                      env_.now());
           }
@@ -1122,12 +1130,37 @@ Status Ext3Fs::setattr(Ino ino, const SetAttr& sa) {
 
 Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
                                    std::span<std::uint8_t> out) {
+  return walk_pages(ino, off, out.size(),
+                    [&](const core::BufRef& page, std::uint32_t page_off,
+                        std::uint32_t len, std::uint32_t done) {
+                      // The sanctioned user-buffer boundary: the one place
+                      // on the read data path where payload bytes leave
+                      // pooled frames.
+                      core::copy_out(out.data() + done, page.data() + page_off,
+                                     len);
+                    });
+}
+
+Result<std::uint32_t> Ext3Fs::read_refs(Ino ino, std::uint64_t off,
+                                        std::uint32_t want, core::IoVec& out) {
+  return walk_pages(ino, off, want,
+                    [&](const core::BufRef& page, std::uint32_t page_off,
+                        std::uint32_t len, std::uint32_t) {
+                      out.push_back(core::BufSlice{page, page_off, len});
+                    });
+}
+
+Result<std::uint32_t> Ext3Fs::walk_pages(
+    Ino ino, std::uint64_t off, std::uint64_t want,
+    sim::FuncRef<void(const core::BufRef&, std::uint32_t, std::uint32_t,
+                      std::uint32_t)>
+        visit) {
   RawInode ri = read_inode(ino);
   if (type_of_mode(ri.mode) == FileType::kDirectory) return Err::kIsDir;
   if (off >= ri.size) return 0u;
 
-  const auto n = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(out.size(), ri.size - off));
+  const auto n =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(want, ri.size - off));
   std::uint32_t done = 0;
   while (done < n) {
     const std::uint64_t pos = off + done;
@@ -1136,7 +1169,7 @@ Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
     const std::uint32_t len =
         std::min<std::uint32_t>(n - done, kBlockSize - page_off);
 
-    const block::BlockBuf* page = pages_->find(ino, index);
+    const core::BufRef* page = pages_->find_ref(ino, index);
     if (!page) {
       bool dummy = false;
       Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/false, dummy);
@@ -1161,79 +1194,10 @@ Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
           prev = *next;
           run++;
         }
-        // Zero-copy fill: the device hands back shared frames and the
-        // page cache adopts the handles.
+        // The device hands back shared frames; the page cache adopts them.
         std::vector<core::BufRef> refs;
         refs.reserve(run);
-        dev_.read_refs(*lba, run, refs);
-        for (std::uint32_t j = 0; j < run; ++j) {
-          pages_->insert_clean_ref(ino, index + j, *lba + j,
-                                   std::move(refs[j]), env_.now());
-        }
-      }
-      page = pages_->find(ino, index);
-      NETSTORE_CHECK(page, "page vanished during read");
-    }
-    // The sanctioned user-buffer boundary: the one place on the read data
-    // path where payload bytes leave pooled frames.
-    core::copy_out(out.data() + done, page->data() + page_off, len);
-    done += len;
-
-    do_readahead(ino, ri, index);
-  }
-
-  if (params_.update_atime) {
-    ri.atime = env_.now();
-    write_inode(ino, ri);
-  }
-  return n;
-}
-
-Result<std::uint32_t> Ext3Fs::read_refs(Ino ino, std::uint64_t off,
-                                        std::uint32_t want, core::IoVec& out) {
-  // read()'s zero-copy twin: identical cache behaviour (hit/miss counters,
-  // demand-run coalescing, hole zero-page sharing, read-ahead) but the
-  // payload leaves as shared slices of the resident frames instead of a
-  // boundary copy.  The caller copies at its own user boundary (or ships
-  // the slices onward).
-  RawInode ri = read_inode(ino);
-  if (type_of_mode(ri.mode) == FileType::kDirectory) return Err::kIsDir;
-  if (off >= ri.size) return 0u;
-
-  const auto n = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(want, ri.size - off));
-  std::uint32_t done = 0;
-  while (done < n) {
-    const std::uint64_t pos = off + done;
-    const std::uint64_t index = pos / kBlockSize;
-    const auto page_off = static_cast<std::uint32_t>(pos % kBlockSize);
-    const std::uint32_t len =
-        std::min<std::uint32_t>(n - done, kBlockSize - page_off);
-
-    const core::BufRef* page = pages_->find_ref(ino, index);
-    if (!page) {
-      bool dummy = false;
-      Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/false, dummy);
-      if (!lba) return lba.error();
-      if (*lba == 0) {
-        pages_->insert_clean_ref(ino, index, 0,
-                                 core::BufferPool::instance().zero_page(),
-                                 env_.now());
-      } else {
-        const std::uint64_t last_index = (off + n - 1) / kBlockSize;
-        std::uint32_t run = 1;
-        Lba prev = *lba;
-        while (run < 16 && index + run <= last_index &&
-               !pages_->contains(ino, index + run)) {
-          bool d2 = false;
-          Result<Lba> next = bmap(ino, ri, index + run, /*alloc=*/false, d2);
-          if (!next || *next != prev + 1) break;
-          prev = *next;
-          run++;
-        }
-        std::vector<core::BufRef> refs;
-        refs.reserve(run);
-        dev_.read_refs(*lba, run, refs);
+        dev_.read(*lba, run, refs);
         for (std::uint32_t j = 0; j < run; ++j) {
           pages_->insert_clean_ref(ino, index + j, *lba + j,
                                    std::move(refs[j]), env_.now());
@@ -1242,12 +1206,13 @@ Result<std::uint32_t> Ext3Fs::read_refs(Ino ino, std::uint64_t off,
       page = pages_->find_ref(ino, index);
       NETSTORE_CHECK(page, "page vanished during read");
     }
-    out.push_back(core::BufSlice{*page, page_off, len});
+    visit(*page, page_off, len, done);
     done += len;
 
     do_readahead(ino, ri, index);
   }
 
+  // One atime update per call, however many pages it spans.
   if (params_.update_atime) {
     ri.atime = env_.now();
     write_inode(ino, ri);
@@ -1277,20 +1242,11 @@ void Ext3Fs::do_readahead(Ino ino, RawInode& ri, std::uint64_t index) {
     bool dummy = false;
     Result<Lba> lba = bmap(ino, ri, j, /*alloc=*/false, dummy);
     if (!lba || *lba == 0) continue;
-    if (core::zerocopy_enabled()) {
-      // Ref-shaped read-ahead: the device hands back pooled frames and
-      // the page cache adopts the handles; timing matches prefetch().
-      std::vector<core::BufRef> refs;
-      auto ready = dev_.prefetch_refs(*lba, 1, refs);
-      if (!ready) return;  // device has no async path; skip read-ahead
-      pages_->insert_clean_ref(ino, j, *lba, std::move(refs[0]), *ready);
-    } else {
-      block::BlockBuf buf{};
-      auto ready = dev_.prefetch(
-          *lba, 1, std::span<std::uint8_t>{buf.data(), kBlockSize});
-      if (!ready) return;  // device has no async path; skip read-ahead
-      pages_->insert_clean(ino, j, *lba, buf, *ready);
-    }
+    // The device hands back pooled frames and the page cache adopts them.
+    std::vector<core::BufRef> refs;
+    auto ready = dev_.prefetch(*lba, 1, refs);
+    if (!ready) return;  // device has no async path; skip read-ahead
+    pages_->insert_clean_ref(ino, j, *lba, std::move(refs[0]), *ready);
   }
 }
 
@@ -1323,7 +1279,7 @@ Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
     if (partial && was_mapped && !pages_->contains(ino, index) &&
         pos < ri.size + len) {
       std::vector<core::BufRef> refs;
-      dev_.read_refs(*lba, 1, refs);
+      dev_.read(*lba, 1, refs);
       pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
                                env_.now());
     }
@@ -1381,7 +1337,7 @@ Result<std::uint32_t> Ext3Fs::write_iov(Ino ino, std::uint64_t off,
         if (partial && was_mapped && !pages_->contains(ino, index) &&
             pos < ri.size + len) {
           std::vector<core::BufRef> refs;
-          dev_.read_refs(*lba, 1, refs);
+          dev_.read(*lba, 1, refs);
           pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
                                    env_.now());
         }

@@ -30,6 +30,7 @@
 #include "fs/page_cache.h"
 #include "fs/types.h"
 #include "sim/env.h"
+#include "sim/task.h"
 
 namespace netstore::fs {
 
@@ -97,13 +98,14 @@ class Ext3Fs {
   Result<std::vector<DirEntry>> readdir(Ino dir);
   Result<std::string> readlink(Ino ino);
   Status setattr(Ino ino, const SetAttr& sa);
+  /// Reads into a user buffer: the one payload copy of the read path.
   Result<std::uint32_t> read(Ino ino, std::uint64_t off,
                              std::span<std::uint8_t> out);
   /// Zero-copy read: appends shared slices of the resident page frames to
-  /// `out` instead of copying into a caller buffer.  Cache behaviour,
-  /// read-ahead, and timing identical to read().  `want` is the byte
-  /// count; at most `want / kBlockSize + 2` slices are appended, so
-  /// callers must keep requests within IoVec::kMaxSlices blocks.
+  /// `out` instead of copying into a caller buffer.  Same page walk as
+  /// read().  `want` is the byte count; at most `want / kBlockSize + 2`
+  /// slices are appended, so callers must keep requests within
+  /// IoVec::kMaxSlices blocks.
   Result<std::uint32_t> read_refs(Ino ino, std::uint64_t off,
                                   std::uint32_t want, core::IoVec& out);
   Result<std::uint32_t> write(Ino ino, std::uint64_t off,
@@ -174,6 +176,16 @@ class Ext3Fs {
                  FileType type);
   Status dir_remove(Ino dir, RawInode& dri, const std::string& name);
   Result<bool> dir_empty(Ino dir, RawInode& dri);
+
+  /// The page walk behind read() and read_refs(): faults the pages
+  /// covering [off, off + min(want, size - off)) into the page cache
+  /// (demand runs, holes, read-ahead), calls visit(page, page_off, len,
+  /// done) per page chunk, and updates atime once.  Returns bytes walked.
+  Result<std::uint32_t> walk_pages(
+      Ino ino, std::uint64_t off, std::uint64_t want,
+      sim::FuncRef<void(const core::BufRef&, std::uint32_t, std::uint32_t,
+                        std::uint32_t)>
+          visit);
 
   void touch_ctime(Ino ino, RawInode& ri);
   void do_readahead(Ino ino, RawInode& ri, std::uint64_t index);

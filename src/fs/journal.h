@@ -94,10 +94,8 @@ class Journal {
   void checkpoint_all();
 
   /// Appends whole blocks at the journal head, splitting at the wrap
-  /// boundary; advances the live region.  The fragments are views of
-  /// pooled frames (bcache handles and encoded record blocks), handed to
-  /// the device scatter-gather — no staging copy.
-  void write_journal_frags(block::FragSpan frags);
+  /// boundary; advances the live region.
+  void write_journal(std::span<const core::BufRef> refs);
 
   [[nodiscard]] std::uint32_t journal_free_blocks() const;
   void write_superblock();

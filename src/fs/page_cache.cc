@@ -1,9 +1,8 @@
 #include "fs/page_cache.h"
 
 #include <algorithm>
+
 #include "core/check.h"
-#include "core/iovec.h"
-#include <cstring>
 
 namespace netstore::fs {
 
@@ -81,21 +80,7 @@ void PageCache::evict_if_needed() {
   }
 }
 
-const block::BlockBuf* PageCache::find(Ino ino, std::uint64_t index) {
-  Page* p = lookup(ino, index);
-  if (!p) {
-    stats_.misses.add(1);
-    return nullptr;
-  }
-  stats_.hits.add(1);
-  if (p->ready_at > env_.now()) env_.advance_to(p->ready_at);
-  return &p->data.block();
-}
-
 const core::BufRef* PageCache::find_ref(Ino ino, std::uint64_t index) {
-  // Identical side effects to find() — counters, LRU touch, read-ahead
-  // blocking — but hands back the pool handle so callers share the frame
-  // instead of copying the block.
   Page* p = lookup(ino, index);
   if (!p) {
     stats_.misses.add(1);
@@ -108,23 +93,6 @@ const core::BufRef* PageCache::find_ref(Ino ino, std::uint64_t index) {
 
 bool PageCache::contains(Ino ino, std::uint64_t index) const {
   return pages_.contains(Key{ino, index});
-}
-
-void PageCache::insert_clean(Ino ino, std::uint64_t index, block::Lba lba,
-                             block::BlockView data, sim::Time ready_at) {
-  Page* existing = lookup(ino, index);
-  Page& p = existing ? *existing : emplace(ino, index, lba);
-  if (p.dirty) return;  // never clobber dirty data with a stale read
-  // Full overwrite: replace a shared frame instead of copying it.
-  if (!p.data || p.data.shared()) {
-    p.data = core::BufferPool::instance().alloc();
-  }
-  // Legacy fill path (NETSTORE_ZEROCOPY=off read-ahead); the zero-copy
-  // plane adopts frames via insert_clean_ref().
-  core::charged_copy(p.data.mutable_data(), data.data(), kBlockSize);
-  p.lba = lba;
-  p.ready_at = ready_at;
-  if (ready_at > env_.now()) stats_.readahead_pages.add(1);
 }
 
 void PageCache::insert_clean_ref(Ino ino, std::uint64_t index, block::Lba lba,
@@ -199,8 +167,6 @@ void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {
   std::sort(victims.begin(), victims.end(),
             [](const Page* a, const Page* b) { return a->lba < b->lba; });
 
-  const bool zerocopy = core::zerocopy_enabled();
-  std::vector<block::BlockView> frags;
   std::vector<core::BufRef> refs;
   std::size_t i = 0;
   while (i < victims.size()) {
@@ -209,27 +175,15 @@ void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {
            victims[i + run]->lba == victims[i]->lba + run) {
       run++;
     }
-    // Hand the resident pages to the device as one scatter-gather request;
-    // no staging copy, still one coalesced device write per run.  With the
-    // zero-copy plane on, the payload is the pool handles themselves, so
-    // devices that store blocks adopt the frames instead of copying bytes.
-    if (zerocopy) {
-      refs.clear();
-      for (std::size_t j = 0; j < run; ++j) {
-        refs.push_back(victims[i + j]->data);  // shares the frame
-        victims[i + j]->dirty = false;
-        dirty_count_--;
-      }
-      dev_.write_gather_refs(victims[i]->lba, refs, block::WriteMode::kAsync);
-    } else {
-      frags.clear();
-      for (std::size_t j = 0; j < run; ++j) {
-        frags.push_back(victims[i + j]->data.view());
-        victims[i + j]->dirty = false;
-        dirty_count_--;
-      }
-      dev_.write_gather(victims[i]->lba, frags, block::WriteMode::kAsync);
+    // One coalesced device write per run; the payload is the pool
+    // handles themselves, so devices that store blocks adopt the frames.
+    refs.clear();
+    for (std::size_t j = 0; j < run; ++j) {
+      refs.push_back(victims[i + j]->data);  // shares the frame
+      victims[i + j]->dirty = false;
+      dirty_count_--;
     }
+    dev_.write(victims[i]->lba, refs, block::WriteMode::kAsync);
     stats_.writeback_pages.add(run);
     i += run;
   }

@@ -32,32 +32,18 @@ class Target {
   Target(block::TimedCache& cache, std::uint64_t volume_blocks)
       : cache_(cache), volume_blocks_(volume_blocks) {}
 
-  /// Executes `cdb` beginning at `start`.  For reads, fills `out`; for
-  /// writes, consumes `in`.  Returns the completion time at the target.
-  sim::Time serve(const scsi::Cdb& cdb, sim::Time start,
-                  std::span<std::uint8_t> out,
-                  std::span<const std::uint8_t> in,
-                  scsi::CommandResult& result);
+  /// READ(10) beginning at `start`: appends one refcounted cache frame
+  /// per block to `out` (the Data-In payload is shared handles, not
+  /// copied bytes).  Returns the completion time at the target.
+  sim::Time serve_read(const scsi::Cdb& cdb, sim::Time start,
+                       std::vector<core::BufRef>& out,
+                       scsi::CommandResult& result);
 
-  /// WRITE(10) with a scatter-gather payload (cdb.op must be kWrite10;
-  /// frags.size() == cdb.nblocks).  Identical cost model to serve() — the
-  /// payload shape changes nothing the simulation observes.
+  /// WRITE(10) beginning at `start` (refs.size() == cdb.nblocks): the
+  /// cache adopts the frames.  Returns the completion time at the target.
   sim::Time serve_write(const scsi::Cdb& cdb, sim::Time start,
-                        block::FragSpan frags, scsi::CommandResult& result);
-
-  /// READ(10) returning refcounted cache frames (cdb.op must be kRead10):
-  /// the Data-In payload is shared handles, not copied bytes.  Identical
-  /// cost model to serve().
-  sim::Time serve_read_refs(const scsi::Cdb& cdb, sim::Time start,
-                            std::vector<core::BufRef>& out,
-                            scsi::CommandResult& result);
-
-  /// WRITE(10) with a ref-shaped payload (cdb.op must be kWrite10;
-  /// refs.size() == cdb.nblocks): the cache adopts the frames.  Identical
-  /// cost model to serve().
-  sim::Time serve_write_refs(const scsi::Cdb& cdb, sim::Time start,
-                             std::span<const core::BufRef> refs,
-                             scsi::CommandResult& result);
+                        std::span<const core::BufRef> refs,
+                        scsi::CommandResult& result);
 
   void set_cost_hook(TargetCostHook hook) { cost_hook_ = std::move(hook); }
 
@@ -101,6 +87,12 @@ class Target {
   }
 
  private:
+  /// Per-command prologue shared by reads and writes: counts the command,
+  /// charges the cost hook, and range-checks the LBA span (failing
+  /// `result` with ILLEGAL REQUEST).  Returns the time service may begin.
+  sim::Time admit(const scsi::Cdb& cdb, sim::Time start,
+                  scsi::CommandResult& result);
+
   block::TimedCache& cache_;
   std::uint64_t volume_blocks_;
   // netstore: not_cloned -- closure over the source Testbed; the fork

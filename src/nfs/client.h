@@ -255,10 +255,8 @@ class NfsClient {
 
   // -- data-path helpers --
   Page* find_page(Fh fh, std::uint64_t index);
-  void insert_page(Fh fh, std::uint64_t index, const std::uint8_t* data,
-                   sim::Time ready_at);
-  /// Zero-copy twin of insert_page: adopts a pooled handle (a shared
-  /// server frame or the pool zero page) instead of copying bytes.
+  /// Installs a page by adopting a pooled handle (a shared server frame
+  /// or the pool zero page).
   void insert_page_ref(Fh fh, std::uint64_t index, core::BufRef data,
                        sim::Time ready_at);
   /// Installs a READ reply's slices as client pages starting at `first`;

@@ -12,7 +12,6 @@
 // file) first materializes it by flushing the queue prefix that creates
 // it.
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/check.h"
@@ -264,20 +263,19 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
     const std::uint32_t len = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         run * kBlockSize, size > off ? size - off : 0));
     if (len > 0) {
-      std::vector<std::uint8_t> buf(run * kBlockSize);
-      for (std::size_t j = 0; j < run; ++j) {
-        // Provisional pages staged into the deferred-create RPC: the
-        // rekey to real handles happens server-side, so the frames
-        // cannot be adopted.  netstore-lint: allow(raw-datapath-memcpy)
-        std::memcpy(buf.data() + j * kBlockSize,
-                    file_pages[i + j].second->data.data(), kBlockSize);
+      // The payload is slices of the provisional pages, trimmed at EOF.
+      core::IoVec iov;
+      for (std::size_t j = 0; j * kBlockSize < len; ++j) {
+        iov.push_back(core::BufSlice{
+            file_pages[i + j].second->data, 0,
+            static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(kBlockSize, len - j * kBlockSize))});
       }
-      buf.resize(len);
       reserve_write_slot();
       const std::uint64_t woff = off;
       const sim::Time completion = call_async(
           Proc::kWrite, WireSizes::kFh + 16 + len, WireSizes::kAttrs, [&] {
-            (void)server_.write(real, woff, buf, /*stable=*/false);
+            (void)server_.write_iov(real, woff, iov, /*stable=*/false);
           });
       write_pool_.push(completion);
       files_[real].needs_commit = true;
@@ -288,9 +286,9 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
   // Re-key the pages so later reads hit the real handle.
   std::vector<std::pair<std::uint64_t, Page*>> moved = file_pages;
   for (auto& [index, page] : moved) {
-    // Hold a ref: insert_page may evict the source page mid-copy.
-    const core::BufRef data = page->data;
-    insert_page(real, index, data.data(), env_.now());
+    // Copy the handle first: insert_page_ref may evict the source page.
+    core::BufRef data = page->data;
+    insert_page_ref(real, index, std::move(data), env_.now());
   }
   drop_pages(provisional);
 }

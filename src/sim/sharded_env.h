@@ -1,6 +1,6 @@
 // ShardedEnv: N per-shard event reactors under conservative lookahead.
 //
-// One sim::Env is a complete sequential simulation: one clock, one heap,
+// One sim::Env is a complete sequential simulation: one clock, one wheel,
 // one seq counter.  A ShardedEnv coordinates N of them (DESIGN.md §17) in
 // the style of SPDK's pin-connections-to-a-core iSCSI target crossed with
 // classic conservative parallel discrete-event simulation: each shard

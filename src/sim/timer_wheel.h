@@ -30,14 +30,14 @@
 //
 // Dispatch is batched by tick: pop() detaches the argmin level-0 bucket
 // as the current *batch*, sorted by (at, key) — with key = the Env's
-// event sequence number this is byte-for-byte the 4-ary heap's
-// (deadline, seq) FIFO order, which the Env audit hooks re-verify on
+// event sequence number this is the (deadline, seq) FIFO order Env
+// promises, which the Env audit hooks re-verify on
 // every pop.  The batch stays a member, consumed through a cursor, so
 // re-entrant scheduling during dispatch (the hybrid-simulation norm:
 // callbacks advance the clock, which pops more events) keeps working:
 // while a batch is live, any insert with at <= the batch tick
 // sorted-inserts into the unconsumed region (its fresh key is the
-// largest, so heap order is preserved); later deadlines file into the
+// largest, so FIFO order is preserved); later deadlines file into the
 // wheel as usual.  Cascades — redistributing an overflow bucket when the
 // cursor reaches it — only ever advance the cursor to the bucket's own
 // minimum deadline, so no entry is skipped and each entry cascades at
@@ -238,7 +238,7 @@ class TimerWheel {
 
   void attach(Entry e) {
     if (!batch_.empty() && e.at <= batch_tick_) {
-      // Due during the batch being dispatched: heap order demands it fire
+      // Due during the batch being dispatched: FIFO order demands it fire
       // within this batch.  Its key (a fresh sequence number for Env
       // entries) exceeds every pending key at the same deadline, so the
       // upper_bound position reproduces (deadline, seq) FIFO exactly.

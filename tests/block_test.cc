@@ -4,16 +4,19 @@
 
 #include <vector>
 
-#include "block/cached_device.h"
 #include "block/disk.h"
 #include "block/local_device.h"
 #include "block/mem_device.h"
 #include "block/raid5.h"
 #include "block/timed_cache.h"
+#include "block_bytes.h"
 #include "sim/rng.h"
 
 namespace netstore::block {
 namespace {
+
+using netstore::testing::bytes_of;
+using netstore::testing::frames_of;
 
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
   std::vector<std::uint8_t> v(n);
@@ -82,46 +85,46 @@ TEST_F(Raid5Test, CapacityIsDataDisks) {
 
 TEST_F(Raid5Test, WriteReadRoundTrip) {
   const auto data = pattern(kBlockSize * 3, 7);
-  raid_->write(0, 100, 3, data);
-  std::vector<std::uint8_t> out(kBlockSize * 3);
+  raid_->write(0, 100, frames_of(data));
+  std::vector<core::BufRef> out;
   raid_->read(0, 100, 3, out);
-  EXPECT_EQ(data, out);
+  EXPECT_EQ(data, bytes_of(out));
 }
 
 TEST_F(Raid5Test, FullStripeWriteRoundTrip) {
   const std::uint32_t stripe = cfg_.stripe_unit_blocks * (cfg_.num_disks - 1);
   const auto data = pattern(kBlockSize * stripe, 9);
-  raid_->write(0, 0, stripe, data);
-  std::vector<std::uint8_t> out(data.size());
+  raid_->write(0, 0, frames_of(data));
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, stripe, out);
-  EXPECT_EQ(data, out);
+  EXPECT_EQ(data, bytes_of(out));
 }
 
 TEST_F(Raid5Test, DegradedReadReconstructsFromParity) {
   const auto data = pattern(kBlockSize * 64, 3);
-  raid_->write(0, 0, 64, data);
+  raid_->write(0, 0, frames_of(data));
   raid_->fail_disk(1);
   ASSERT_TRUE(raid_->degraded());
-  std::vector<std::uint8_t> out(data.size());
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, 64, out);
-  EXPECT_EQ(data, out);
+  EXPECT_EQ(data, bytes_of(out));
 }
 
 TEST_F(Raid5Test, DegradedWriteThenRebuild) {
   const auto before = pattern(kBlockSize * 64, 3);
-  raid_->write(0, 0, 64, before);
+  raid_->write(0, 0, frames_of(before));
   raid_->fail_disk(2);
   const auto after = pattern(kBlockSize * 64, 99);
-  raid_->write(0, 0, 64, after);
-  std::vector<std::uint8_t> out(after.size());
+  raid_->write(0, 0, frames_of(after));
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, 64, out);
-  EXPECT_EQ(after, out);
+  EXPECT_EQ(after, bytes_of(out));
 
   raid_->rebuild_disk(2, 128);
   ASSERT_FALSE(raid_->degraded());
-  std::fill(out.begin(), out.end(), 0);
+  out.clear();
   raid_->read(0, 0, 64, out);
-  EXPECT_EQ(after, out);
+  EXPECT_EQ(after, bytes_of(out));
 }
 
 TEST_F(Raid5Test, RandomizedParityInvariant) {
@@ -133,15 +136,15 @@ TEST_F(Raid5Test, RandomizedParityInvariant) {
     const auto lba = rng.uniform(250);
     const auto n = static_cast<std::uint32_t>(1 + rng.uniform(6));
     auto data = pattern(kBlockSize * n, static_cast<std::uint8_t>(rng.next()));
-    raid_->write(0, lba, n, data);
+    raid_->write(0, lba, frames_of(data));
     std::copy(data.begin(), data.end(),
               image.begin() + static_cast<std::size_t>(lba) * kBlockSize);
   }
   const auto victim = static_cast<std::uint32_t>(rng.uniform(5));
   raid_->fail_disk(victim);
-  std::vector<std::uint8_t> out(image.size());
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, 256, out);
-  EXPECT_EQ(image, out);
+  EXPECT_EQ(image, bytes_of(out));
 }
 
 TEST(TimedCacheTest, WritesAckAtMemorySpeed) {
@@ -150,7 +153,7 @@ TEST(TimedCacheTest, WritesAckAtMemorySpeed) {
   Raid5Array raid(cfg);
   TimedCache cache(raid, 1024, 512);
   const auto data = pattern(kBlockSize, 1);
-  const sim::Time done = cache.write(sim::milliseconds(1), 10, 1, data);
+  const sim::Time done = cache.write(sim::milliseconds(1), 10, frames_of(data));
   EXPECT_EQ(done, sim::milliseconds(1));  // acknowledged from cache
   EXPECT_EQ(cache.dirty_blocks(), 1u);
 }
@@ -161,11 +164,11 @@ TEST(TimedCacheTest, ReadHitsAfterWrite) {
   Raid5Array raid(cfg);
   TimedCache cache(raid, 1024, 512);
   const auto data = pattern(kBlockSize, 2);
-  cache.write(0, 5, 1, data);
-  std::vector<std::uint8_t> out(kBlockSize);
+  cache.write(0, 5, frames_of(data));
+  std::vector<core::BufRef> out;
   const sim::Time done = cache.read(sim::seconds(1), 5, 1, out);
   EXPECT_EQ(done, sim::seconds(1));  // hit: no disk time
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
+  EXPECT_EQ(data, bytes_of(out));
 }
 
 TEST(TimedCacheTest, SyncMakesDurableAndCrashLosesDirty) {
@@ -175,53 +178,16 @@ TEST(TimedCacheTest, SyncMakesDurableAndCrashLosesDirty) {
   TimedCache cache(raid, 1024, 512);
   const auto a = pattern(kBlockSize, 3);
   const auto b = pattern(kBlockSize, 4);
-  cache.write(0, 7, 1, a);
+  cache.write(0, 7, frames_of(a));
   cache.sync(0);
-  cache.write(0, 8, 1, b);
+  cache.write(0, 8, frames_of(b));
   cache.crash();  // block 8 lost, block 7 durable
-  std::vector<std::uint8_t> out(kBlockSize);
+  std::vector<core::BufRef> out;
   cache.read(0, 7, 1, out);
-  EXPECT_EQ(std::vector<std::uint8_t>(a.begin(), a.end()), out);
+  EXPECT_EQ(a, bytes_of(out));
+  out.clear();
   cache.read(0, 8, 1, out);
-  EXPECT_EQ(out[0], 0);
-}
-
-TEST(CachedBlockDeviceTest, ReadThroughAndHit) {
-  MemBlockDevice inner(1024);
-  const auto data = pattern(kBlockSize, 5);
-  inner.write(9, 1, data, WriteMode::kAsync);
-  CachedBlockDevice cache(inner, 128, 64);
-  std::vector<std::uint8_t> out(kBlockSize);
-  cache.read(9, 1, out);
-  EXPECT_EQ(cache.stats().misses.value(), 1u);
-  cache.read(9, 1, out);
-  EXPECT_EQ(cache.stats().hits.value(), 1u);
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
-}
-
-TEST(CachedBlockDeviceTest, WriteBackOnFlush) {
-  MemBlockDevice inner(1024);
-  CachedBlockDevice cache(inner, 128, 64);
-  const auto data = pattern(kBlockSize, 6);
-  cache.write(3, 1, data, WriteMode::kAsync);
-  EXPECT_EQ(inner.writes(), 0u);
-  cache.flush();
-  EXPECT_EQ(inner.writes(), 1u);
-  std::vector<std::uint8_t> out(kBlockSize);
-  inner.read(3, 1, out);
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
-}
-
-TEST(CachedBlockDeviceTest, EvictionWritesDirtyBack) {
-  MemBlockDevice inner(1024);
-  CachedBlockDevice cache(inner, 4, 100);  // tiny cache, high dirty limit
-  const auto data = pattern(kBlockSize, 7);
-  for (Lba l = 0; l < 8; ++l) cache.write(l, 1, data, WriteMode::kAsync);
-  // Capacity 4 => at least 4 blocks were evicted (written back).
-  EXPECT_GE(inner.writes(), 4u);
-  std::vector<std::uint8_t> out(kBlockSize);
-  cache.read(0, 1, out);  // evicted earlier; reads back the written data
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
+  EXPECT_EQ(out[0].data()[0], 0);
 }
 
 TEST(LocalDeviceTest, SyncWriteAcksFromNvram) {
@@ -231,11 +197,11 @@ TEST(LocalDeviceTest, SyncWriteAcksFromNvram) {
   Raid5Array raid(cfg);
   LocalBlockDevice dev(env, raid);
   const auto data = pattern(kBlockSize, 8);
-  dev.write(11, 1, data, WriteMode::kSync);
+  dev.write(11, frames_of(data), WriteMode::kSync);
   EXPECT_LT(env.now(), sim::milliseconds(1));  // NVRAM ack, not spindle time
-  std::vector<std::uint8_t> out(kBlockSize);
+  std::vector<core::BufRef> out;
   dev.read(11, 1, out);
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
+  EXPECT_EQ(data, bytes_of(out));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "block/block.h"
 #include "block/mem_device.h"
+#include "core/buffer_pool.h"
 #include "fs/page_cache.h"
 #include "sim/env.h"
 
@@ -21,9 +22,9 @@ using block::Lba;
 constexpr Ino kInoA = 10;
 constexpr Ino kInoB = 11;
 
-BlockBuf make_block(std::uint8_t fill) {
-  BlockBuf b;
-  b.fill(fill);
+core::BufRef make_block(std::uint8_t fill) {
+  core::BufRef b = core::BufferPool::instance().alloc();
+  b.mutable_block().fill(fill);
   return b;
 }
 
@@ -42,19 +43,19 @@ class PageCacheTest : public ::testing::Test {
 
 TEST_F(PageCacheTest, EvictionFollowsLruOrderAmongCleanPages) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x5a);
+  const core::BufRef blk = make_block(0x5a);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    cache.insert_clean(kInoA, i, /*lba=*/100 + i, blk, env_.now());
+    cache.insert_clean_ref(kInoA, i, /*lba=*/100 + i, blk, env_.now());
   }
   ASSERT_EQ(cache.resident_pages(), 8u);
 
   // Touch pages 0 and 1 so indices 2.. are now the coldest.
-  EXPECT_NE(cache.find(kInoA, 0), nullptr);
-  EXPECT_NE(cache.find(kInoA, 1), nullptr);
+  EXPECT_NE(cache.find_ref(kInoA, 0), nullptr);
+  EXPECT_NE(cache.find_ref(kInoA, 1), nullptr);
 
   // Two inserts evict the two coldest pages: 2, then 3.
-  cache.insert_clean(kInoB, 0, 200, blk, env_.now());
-  cache.insert_clean(kInoB, 1, 201, blk, env_.now());
+  cache.insert_clean_ref(kInoB, 0, 200, blk, env_.now());
+  cache.insert_clean_ref(kInoB, 1, 201, blk, env_.now());
   EXPECT_TRUE(cache.contains(kInoA, 0));
   EXPECT_TRUE(cache.contains(kInoA, 1));
   EXPECT_FALSE(cache.contains(kInoA, 2));
@@ -65,15 +66,15 @@ TEST_F(PageCacheTest, EvictionFollowsLruOrderAmongCleanPages) {
 
 TEST_F(PageCacheTest, EvictionSkipsDirtyPagesWhileCleanOnesRemain) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x11);
+  const core::BufRef blk = make_block(0x11);
   // Coldest two pages are dirty; they must survive eviction while clean
   // pages exist.
   cache.write_page(kInoA, 0, 100);
   cache.write_page(kInoA, 1, 101);
   for (std::uint64_t i = 2; i < 8; ++i) {
-    cache.insert_clean(kInoA, i, 100 + i, blk, env_.now());
+    cache.insert_clean_ref(kInoA, i, 100 + i, blk, env_.now());
   }
-  cache.insert_clean(kInoB, 0, 200, blk, env_.now());
+  cache.insert_clean_ref(kInoB, 0, 200, blk, env_.now());
   EXPECT_TRUE(cache.contains(kInoA, 0));
   EXPECT_TRUE(cache.contains(kInoA, 1));
   EXPECT_FALSE(cache.contains(kInoA, 2));
@@ -127,10 +128,10 @@ TEST_F(PageCacheTest, WritebackCoalescesRunsAcrossDiscontiguousLbas) {
 
 TEST_F(PageCacheTest, DropInodeDiscardsInFlightReadahead) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x77);
+  const core::BufRef blk = make_block(0x77);
   // A read-ahead insert whose data is only valid in the future.
   const sim::Time ready = env_.now() + sim::milliseconds(5);
-  cache.insert_clean(kInoA, 3, 103, blk, ready);
+  cache.insert_clean_ref(kInoA, 3, 103, blk, ready);
   EXPECT_EQ(cache.stats().readahead_pages.value(), 1u);
   ASSERT_TRUE(cache.contains(kInoA, 3));
 
@@ -138,11 +139,11 @@ TEST_F(PageCacheTest, DropInodeDiscardsInFlightReadahead) {
   // gone, nothing blocks, and the clock must not jump to `ready`.
   cache.drop_inode(kInoA);
   EXPECT_FALSE(cache.contains(kInoA, 3));
-  EXPECT_EQ(cache.find(kInoA, 3), nullptr);
+  EXPECT_EQ(cache.find_ref(kInoA, 3), nullptr);
   EXPECT_EQ(env_.now(), sim::Time{0});
   // A fresh demand insert of the same page works normally afterwards.
-  cache.insert_clean(kInoA, 3, 103, blk, env_.now());
-  EXPECT_NE(cache.find(kInoA, 3), nullptr);
+  cache.insert_clean_ref(kInoA, 3, 103, blk, env_.now());
+  EXPECT_NE(cache.find_ref(kInoA, 3), nullptr);
 }
 
 TEST_F(PageCacheTest, DropInodeFromIndexKeepsEarlierPagesAndDirtyCount) {
@@ -168,13 +169,13 @@ TEST_F(PageCacheTest, DropInodeFromIndexKeepsEarlierPagesAndDirtyCount) {
 
 TEST_F(PageCacheTest, FindBlocksUntilReadaheadCompletes) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x42);
+  const core::BufRef blk = make_block(0x42);
   const sim::Time ready = env_.now() + sim::milliseconds(3);
-  cache.insert_clean(kInoA, 0, 100, blk, ready);
-  const BlockBuf* got = cache.find(kInoA, 0);
+  cache.insert_clean_ref(kInoA, 0, 100, blk, ready);
+  const core::BufRef* got = cache.find_ref(kInoA, 0);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(env_.now(), ready);
-  EXPECT_EQ((*got)[0], 0x42);
+  EXPECT_EQ(got->data()[0], 0x42);
 }
 
 TEST_F(PageCacheTest, AgedFlusherWritesOldDirtyPages) {
@@ -196,11 +197,11 @@ TEST_F(PageCacheTest, InsertCleanNeverClobbersDirtyData) {
   PageCache cache(env_, dev_, small_params());
   BlockBuf& page = cache.write_page(kInoA, 0, 100);
   page[0] = 0xee;
-  const BlockBuf stale = make_block(0x00);
-  cache.insert_clean(kInoA, 0, 100, stale, env_.now());
-  const BlockBuf* got = cache.find(kInoA, 0);
+  const core::BufRef stale = make_block(0x00);
+  cache.insert_clean_ref(kInoA, 0, 100, stale, env_.now());
+  const core::BufRef* got = cache.find_ref(kInoA, 0);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ((*got)[0], 0xee);
+  EXPECT_EQ(got->data()[0], 0xee);
   EXPECT_EQ(cache.dirty_pages(), 1u);
 }
 

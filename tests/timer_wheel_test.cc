@@ -1,28 +1,27 @@
 // Timing-wheel scheduler tests (DESIGN.md §18).
 //
 // The contract under test: the hierarchical timing wheel behind sim::Env
-// is observably identical to the 4-ary heap it replaced.  "Observably
-// identical" is pinned four ways:
-//   (a) a full protocol run (all four protocols) digests byte-identically
-//     under NETSTORE_TIMER=heap and under the wheel — the fork_test-style
-//     digest covers every StatsSnapshot field plus the backend-independent
-//     sim.timer.* counters (cascades excluded: it is wheel-only work);
+// dispatches in (deadline, scheduling order) and reproduces the runs of
+// the 4-ary heap it replaced.  Pinned four ways:
+//   (a) a full protocol run (all four protocols) digests to the value the
+//     heap backend produced — the fork_test-style digest covers every
+//     StatsSnapshot field plus the sim.timer.* counters (cascades
+//     excluded: it is wheel-only work);
 //   (b) fixed-seed fleet runs are byte-identical run to run at shards 1
 //     and 4 with the wheel driving both the Env queues and the per-shard
 //     arrival process;
-//   (c) cancel/reschedule handle semantics match on both backends —
-//     stale handles, payload destruction without running, pending-event
-//     accounting, and the scheduled/fired/cancelled counter book;
+//   (c) cancel/reschedule handle semantics — stale handles, payload
+//     destruction without running, pending-event accounting, and the
+//     scheduled/fired/cancelled counter book;
 //   (d) cascade boundary cases: deadlines exactly on a level boundary,
 //     same-tick FIFO across a cascade, and past-deadline schedules all
-//     dispatch in (deadline, scheduling order) on both backends.
+//     dispatch in (deadline, scheduling order).
 // Plus the overflow guard: deadlines at/above Env::kNoEvent die under
 // NETSTORE_CHECK instead of silently wrapping into the past.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -52,24 +51,6 @@ using core::WorkloadConfig;
 constexpr Protocol kAllProtocols[] = {Protocol::kNfsV2, Protocol::kNfsV3,
                                       Protocol::kNfsV4, Protocol::kIscsi};
 
-// Scoped backend selection.  Env reads NETSTORE_TIMER per construction,
-// so flipping the variable between Testbed builds in one process is the
-// supported way to compare backends (the CI byte-compare does the same
-// across processes).
-class ScopedBackend {
- public:
-  explicit ScopedBackend(const char* value) {
-    if (value == nullptr) {
-      ::unsetenv("NETSTORE_TIMER");
-    } else {
-      ::setenv("NETSTORE_TIMER", value, 1);
-    }
-  }
-  ~ScopedBackend() { ::unsetenv("NETSTORE_TIMER"); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-};
-
 // Deterministic mixed protocol run: metadata, sequential and re-read I/O,
 // fsync (journal daemon timers), and enough advance to fire flusher
 // events.  Ends quiesced so the digest is a complete cut.
@@ -88,7 +69,9 @@ void drive_protocol(Testbed& bed, std::uint64_t seed) {
       ASSERT_TRUE(v.write(*fd, static_cast<std::uint64_t>(blk) * data.size(),
                           data));
     }
-    if (f % 2 == 0) ASSERT_TRUE(v.fsync(*fd));
+    if (f % 2 == 0) {
+      ASSERT_TRUE(v.fsync(*fd));
+    }
     ASSERT_TRUE(v.read(*fd, rng.uniform(8) * data.size(), sink));
     ASSERT_TRUE(v.close(*fd));
     ASSERT_TRUE(v.stat(path));
@@ -98,9 +81,9 @@ void drive_protocol(Testbed& bed, std::uint64_t seed) {
   bed.quiesce();
 }
 
-// Backend-comparable digest: traffic snapshot plus the sim.timer.*
-// counters that must agree across backends.  cascades is deliberately
-// excluded — overflow redistribution is wheel-only bookkeeping.
+// Run digest: traffic snapshot plus the sim.timer.* counters.  cascades
+// is deliberately excluded — overflow redistribution is wheel-only
+// bookkeeping the heap-era digests never had.
 std::string digest(Testbed& bed) {
   const StatsSnapshot s = bed.snapshot();
   const sim::TimerStats& t = bed.env().timer_stats();
@@ -118,8 +101,8 @@ std::string digest(Testbed& bed) {
 }
 
 // Per-protocol digest of drive_protocol(bed, 7), recorded while the wheel
-// and heap backends were both checked to produce it.  Pinned so the whole
-// stack keeps reproducing the heap backend's observable run.
+// and the (since deleted) heap backend were both checked to produce it.
+// Pinned so the whole stack keeps reproducing the heap backend's run.
 const char* pinned_digest(Protocol p) {
   switch (p) {
     case Protocol::kNfsV2:
@@ -147,19 +130,12 @@ const char* pinned_digest(Protocol p) {
 
 class BackendIdentityTest : public ::testing::TestWithParam<Protocol> {};
 
-// (a) The whole stack, per protocol: wheel digest == heap digest.
+// (a) The whole stack, per protocol: the wheel run digests to the
+// recorded heap run.
 TEST_P(BackendIdentityTest, WheelRunEqualsHeapRun) {
-  std::string got[2];
-  const char* backends[2] = {nullptr, "heap"};
-  for (int i = 0; i < 2; ++i) {
-    ScopedBackend backend(backends[i]);
-    Testbed bed(GetParam());
-    ASSERT_EQ(bed.env().uses_wheel(), backends[i] == nullptr);
-    ASSERT_NO_FATAL_FAILURE(drive_protocol(bed, 7));
-    got[i] = digest(bed);
-  }
-  EXPECT_EQ(got[0], got[1]);
-  EXPECT_EQ(got[0], pinned_digest(GetParam()));
+  Testbed bed(GetParam());
+  ASSERT_NO_FATAL_FAILURE(drive_protocol(bed, 7));
+  EXPECT_EQ(digest(bed), pinned_digest(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, BackendIdentityTest,
@@ -199,11 +175,8 @@ TEST_P(FleetWheelTest, FixedSeedFleetIsByteIdenticalRunToRun) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, FleetWheelTest, ::testing::Values(1u, 4u));
 
-// (c) Handle semantics, identical on both backends.
-class HandleTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(HandleTest, CancelPreventsPayloadAndStalesHandle) {
-  ScopedBackend backend(GetParam());
+// (c) Handle semantics.
+TEST(HandleTest, CancelPreventsPayloadAndStalesHandle) {
   sim::Env env;
   int ran = 0;
   sim::TimerHandle h = env.arm_timer_after(100, [&ran] { ++ran; });
@@ -219,8 +192,7 @@ TEST_P(HandleTest, CancelPreventsPayloadAndStalesHandle) {
   EXPECT_EQ(env.timer_stats().cancelled.value(), 1u);
 }
 
-TEST_P(HandleTest, FiredTimerStalesHandle) {
-  ScopedBackend backend(GetParam());
+TEST(HandleTest, FiredTimerStalesHandle) {
   sim::Env env;
   int ran = 0;
   sim::TimerHandle h = env.arm_timer_at(50, [&ran] { ++ran; });
@@ -232,8 +204,7 @@ TEST_P(HandleTest, FiredTimerStalesHandle) {
   EXPECT_EQ(env.timer_stats().cancelled.value(), 0u);
 }
 
-TEST_P(HandleTest, RescheduleMovesDeadlineAndInvalidatesOldHandle) {
-  ScopedBackend backend(GetParam());
+TEST(HandleTest, RescheduleMovesDeadlineAndInvalidatesOldHandle) {
   sim::Env env;
   std::vector<sim::Time> fired_at;
   sim::TimerHandle h =
@@ -255,8 +226,7 @@ TEST_P(HandleTest, RescheduleMovesDeadlineAndInvalidatesOldHandle) {
   EXPECT_EQ(env.timer_stats().cancelled.value(), 0u);
 }
 
-TEST_P(HandleTest, RescheduleCanPullDeadlineEarlier) {
-  ScopedBackend backend(GetParam());
+TEST(HandleTest, RescheduleCanPullDeadlineEarlier) {
   sim::Env env;
   int ran = 0;
   sim::TimerHandle h = env.arm_timer_at(10000, [&ran] { ++ran; });
@@ -267,19 +237,13 @@ TEST_P(HandleTest, RescheduleCanPullDeadlineEarlier) {
   EXPECT_EQ(env.pending_events(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothBackends, HandleTest,
-                         ::testing::Values(static_cast<const char*>(nullptr),
-                                           "heap"));
-
 // (d) Dispatch-order pinning across cascade boundaries.  Deadlines are
 // chosen to straddle wheel level boundaries (64, 64^2, 64^3 ticks),
 // land exactly ON boundaries, collide on one tick, and fall in the
 // past; the observed dispatch order must be the (deadline, scheduling
-// order) contract on both backends, verified against a reference built
-// by stable-sorting the schedule.
-std::vector<std::pair<sim::Time, int>> run_boundary_schedule(
-    const char* backend_value) {
-  ScopedBackend backend(backend_value);
+// order) contract, verified against a reference built by stable-sorting
+// the schedule.
+std::vector<std::pair<sim::Time, int>> run_boundary_schedule() {
   sim::Env env;
   // Each record is (raw scheduled deadline, schedule index) in dispatch
   // order — raw, because the (deadline, seq) contract orders past-dated
@@ -311,10 +275,8 @@ std::vector<std::pair<sim::Time, int>> run_boundary_schedule(
   return fired;
 }
 
-TEST(CascadeBoundaryTest, DispatchOrderIsDeadlineThenFifoOnBothBackends) {
-  const auto wheel = run_boundary_schedule(nullptr);
-  const auto heap = run_boundary_schedule("heap");
-  EXPECT_EQ(wheel, heap);
+TEST(CascadeBoundaryTest, DispatchOrderIsDeadlineThenFifo) {
+  const auto wheel = run_boundary_schedule();
 
   // Reference order: stable sort by deadline, past deadlines clamped to
   // the schedule-time clock (they run at the next advance, in order).
@@ -332,21 +294,17 @@ TEST(CascadeBoundaryTest, DispatchOrderIsDeadlineThenFifoOnBothBackends) {
 // another event for the *same instant* must see it run within the same
 // sweep, after every previously queued same-tick event.
 TEST(CascadeBoundaryTest, SameTickReentrantScheduleRunsInSeqOrder) {
-  for (const char* backend_value :
-       {static_cast<const char*>(nullptr), "heap"}) {
-    ScopedBackend backend(backend_value);
-    sim::Env env;
-    std::vector<int> order;
-    env.schedule_at(10, [&] {
-      order.push_back(0);
-      env.schedule_at(10, [&order] { order.push_back(3); });
-    });
-    env.schedule_at(10, [&order] { order.push_back(1); });
-    env.schedule_at(10, [&order] { order.push_back(2); });
-    env.advance_to(10);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(env.pending_events(), 0u);
-  }
+  sim::Env env;
+  std::vector<int> order;
+  env.schedule_at(10, [&] {
+    order.push_back(0);
+    env.schedule_at(10, [&order] { order.push_back(3); });
+  });
+  env.schedule_at(10, [&order] { order.push_back(1); });
+  env.schedule_at(10, [&order] { order.push_back(2); });
+  env.advance_to(10);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(env.pending_events(), 0u);
 }
 
 // Far-future deadlines exercise the top overflow levels; they must still

@@ -1,9 +1,9 @@
 // Zero-copy data plane tests (DESIGN.md §19).
 //
 // The contracts under test:
-//   * Escape-hatch identity: a mixed workload produces a bit-identical
-//     observable digest with NETSTORE_ZEROCOPY on and off, on every
-//     protocol stack — moving references instead of bytes changes
+//   * Copying-plane identity: a mixed workload produces, on every
+//     protocol stack, the observable digest the copying data plane (since
+//     deleted) produced — moving references instead of bytes changes
 //     nothing the simulation observes.
 //   * Fleet determinism survives the plane: sharded (and sequential)
 //     fleet runs stay byte-identical run to run while frames are shared
@@ -29,7 +29,6 @@
 #include "core/buffer_pool.h"
 #include "core/checkpoint.h"
 #include "core/fleet.h"
-#include "core/iovec.h"
 #include "core/testbed.h"
 #include "obs/report.h"
 #include "sim/rng.h"
@@ -44,27 +43,6 @@ using core::Protocol;
 using core::StatsSnapshot;
 using core::Testbed;
 using core::WorkloadConfig;
-
-// Restores the process-wide zero-copy switch and the pool copy counters,
-// so a test phase that runs the copying twin (whose staging deliberately
-// breaks the bytes_copied <= bytes_read + bytes_written invariant)
-// leaves no trace for later tests.
-class ZerocopyGuard {
- public:
-  ZerocopyGuard()
-      : prev_(core::zerocopy_enabled()),
-        saved_(BufferPool::instance().copy_stats()) {}
-  ~ZerocopyGuard() {
-    core::set_zerocopy(prev_);
-    BufferPool::instance().set_copy_stats(saved_);
-  }
-  ZerocopyGuard(const ZerocopyGuard&) = delete;
-  ZerocopyGuard& operator=(const ZerocopyGuard&) = delete;
-
- private:
-  bool prev_;
-  BufferPool::CopyStats saved_;
-};
 
 std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data,
                     std::size_t n) {
@@ -141,7 +119,7 @@ std::string workload_digest(Protocol proto, std::uint64_t seed) {
 }
 
 // Per-stack workload_digest(proto, 0x5eed), recorded while the copying
-// twin (NETSTORE_ZEROCOPY=off) was checked to produce it too.
+// data plane was checked to produce it too.
 const char* pinned_digest(Protocol p) {
   switch (p) {
     case Protocol::kNfsV2:
@@ -165,17 +143,11 @@ const char* pinned_digest(Protocol p) {
 
 class ZerocopyIdentity : public ::testing::TestWithParam<Protocol> {};
 
-// The tentpole identity: reference-passing on vs the copying twin must
-// be byte-identical in everything the simulation observes.
+// Reference passing must be byte-identical, in everything the simulation
+// observes, to the recorded run of the copying plane ("off mode").
 TEST_P(ZerocopyIdentity, OffModeDigestMatchesOnMode) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   const std::string on = workload_digest(GetParam(), 0x5eedull);
-  core::set_zerocopy(false);
-  const std::string off = workload_digest(GetParam(), 0x5eedull);
   ASSERT_FALSE(on.empty());
-  ASSERT_FALSE(off.empty());
-  EXPECT_EQ(on, off);
   EXPECT_EQ(on, pinned_digest(GetParam()));
 }
 
@@ -206,12 +178,9 @@ std::string fleet_digest(Fleet& fleet) {
   return os.str();
 }
 
-// Run-to-run identity of the fleet drive with the plane on, sequential
-// and sharded: frames shared across layers (and, sharded, across
+// Run-to-run identity of the fleet drive, sequential and sharded: frames shared across layers (and, sharded, across
 // per-shard worlds forked from one image) must not perturb determinism.
 TEST(ZerocopyFleet, RunToRunIdenticalAcrossShardCounts) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   for (std::uint32_t shards : {1u, 4u}) {
     WorkloadConfig w;
     w.clients = 64;
@@ -261,8 +230,6 @@ TEST(ZerocopyCow, MutatingOneAliasNeverTouchesTheOther) {
 // bytes on the next read — and a slice view taken before the overwrite
 // must keep showing the old bytes.
 TEST(ZerocopyCow, OverwriteAfterSharedReadYieldsNewBytes) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   Testbed bed(Protocol::kNfsV3);
   constexpr std::uint32_t kBytes = 16 * 1024;
 
@@ -319,8 +286,6 @@ class ZerocopyFork : public ::testing::TestWithParam<Protocol> {};
 // Forking a checkpoint while views are outstanding equals building the
 // same world from scratch; and writes inside the fork stay inside it.
 TEST_P(ZerocopyFork, ForkWithOutstandingViewsEqualsFromScratch) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   constexpr std::uint32_t kBytes = 32 * 1024;
 
   auto proto = warm_viewful_world(GetParam());
@@ -369,11 +334,9 @@ INSTANTIATE_TEST_SUITE_P(AllStacks, ZerocopyFork,
                                                                  : "NfsV3";
                          });
 
-// Charging: with the plane on, a warm cached read is exactly one charged
+// Charging: a warm cached read is exactly one charged
 // copy — the user-buffer crossing — and zero below-boundary bytes.
 TEST(ZerocopyCharging, WarmReadChargesExactlyTheBoundary) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   Testbed bed(Protocol::kNfsV3);
   constexpr std::uint32_t kBytes = 8 * 1024;
 

@@ -16,8 +16,8 @@ Checks, per file:
   * any "pool" snapshot (BufferPool telemetry, NETSTORE_POOL_STATS=1):
     all eight pool.* counters present, alloc_fallbacks consistent with
     slab capacity (every fallback consumes one fresh slab frame), and
-    bytes_copied <= bytes_read + bytes_written (with the zero-copy
-    plane on, every charged copy is a user-boundary crossing)
+    bytes_copied <= bytes_read + bytes_written (every charged copy is a
+    user-boundary crossing)
   * any snapshot whose label starts with "fleet": the fleet.* metric
     keys (ops counter, response/queue-delay/service samplers, per-client
     fairness sampler) present with consistent counts
@@ -142,10 +142,9 @@ def check_pool_snapshot(path, metrics):
         return fail(
             path, "pool snapshot: slabs exist but no alloc_fallbacks recorded"
         )
-    # Zero-copy data plane (DESIGN.md section 19): with the plane on (the
-    # only mode that exports validated pool snapshots), every charged
-    # copy is a user-buffer boundary crossing, so the copied bytes can
-    # never exceed the bytes that crossed the read/write boundaries.
+    # Zero-copy data plane (DESIGN.md section 19): every charged copy is
+    # a user-buffer boundary crossing, so the copied bytes can never
+    # exceed the bytes that crossed the read/write boundaries.
     copied = metrics["pool.bytes_copied"]["value"]
     boundary = (
         metrics["pool.bytes_read"]["value"]

@@ -37,10 +37,9 @@
 //                          zero-copy plane moves payload as shared
 //                          slices, and unmetered copies silently erode
 //                          it.  Use core::copy_out/copy_in at user
-//                          boundaries, core::charged_copy for legacy
-//                          staging, or suppress where a byte-small
-//                          sub-payload copy is semantically required
-//                          (ext3 indirect entries, parity folds).
+//                          boundaries, or suppress where a copy is
+//                          semantically required (ext3 indirect entries,
+//                          parity folds, metadata block snapshots).
 //   lock-order-cycle       two functions (possibly in different TUs)
 //                          acquire the same pair of locks in opposite
 //                          orders — the classic ABBA deadlock the
@@ -206,9 +205,8 @@ void scan_tokens(const SourceFile& f, std::vector<Finding>& out) {
         out.push_back({f.path, t.line, t.col, "raw-datapath-memcpy",
                        "raw memcpy on BufRef/pool-frame memory bypasses the "
                        "zero-copy plane's metering; use core::copy_out/"
-                       "copy_in at user boundaries or core::charged_copy "
-                       "for staging, or suppress where a sub-payload copy "
-                       "is semantically required"});
+                       "copy_in at user boundaries, or suppress where the "
+                       "copy is semantically required"});
       }
     }
 

@@ -5,7 +5,7 @@
 //   (rule: raw-datapath-memcpy).
 //
 //   bad line 2: memcpy into frame memory via .mutable_data() without
-//   core::copy_in/charged_copy (rule: raw-datapath-memcpy).
+//   core::copy_in (rule: raw-datapath-memcpy).
 #include <cstdint>
 #include <cstring>
 
