@@ -1115,8 +1115,9 @@ Status Ext3Fs::setattr(Ino ino, const SetAttr& sa) {
             pages_->insert_clean_ref(ino, index, *last, std::move(refs[0]),
                                      env_.now());
           }
-          block::BlockBuf& page = pages_->write_page(ino, index, *last);
-          std::memset(page.data() + tail, 0, kBlockSize - tail);
+          pages_->write_page(ino, index, *last, [&](block::BlockBuf& page) {
+            std::memset(page.data() + tail, 0, kBlockSize - tail);
+          });
         }
       }
     }
@@ -1283,10 +1284,11 @@ Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
       pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
                                env_.now());
     }
-    block::BlockBuf& page = pages_->write_page(ino, index, *lba);
-    // The sanctioned user-buffer boundary: the one place on the write data
-    // path where payload bytes enter pooled frames.
-    core::copy_in(page.data() + page_off, in.data() + done, len);
+    pages_->write_page(ino, index, *lba, [&](block::BlockBuf& page) {
+      // The sanctioned user-buffer boundary: the one place on the write
+      // data path where payload bytes enter pooled frames.
+      core::copy_in(page.data() + page_off, in.data() + done, len);
+    });
     done += len;
   }
 
@@ -1341,10 +1343,11 @@ Result<std::uint32_t> Ext3Fs::write_iov(Ino ino, std::uint64_t off,
           pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
                                    env_.now());
         }
-        block::BlockBuf& page = pages_->write_page(ino, index, *lba);
-        // Sub-block merge between two pooled frames; charged at the user
-        // boundary upstream.  netstore-lint: allow(raw-datapath-memcpy)
-        std::memcpy(page.data() + page_off, s.data() + sdone, len);
+        pages_->write_page(ino, index, *lba, [&](block::BlockBuf& page) {
+          // Sub-block merge between two pooled frames; charged at the user
+          // boundary upstream.  netstore-lint: allow(raw-datapath-memcpy)
+          std::memcpy(page.data() + page_off, s.data() + sdone, len);
+        });
       }
       sdone += len;
       done += len;

@@ -106,8 +106,8 @@ void PageCache::insert_clean_ref(Ino ino, std::uint64_t index, block::Lba lba,
   if (ready_at > env_.now()) stats_.readahead_pages.add(1);
 }
 
-block::BlockBuf& PageCache::write_page(Ino ino, std::uint64_t index,
-                                       block::Lba lba) {
+void PageCache::write_page(Ino ino, std::uint64_t index, block::Lba lba,
+                           sim::FuncRef<void(block::BlockBuf&)> fill) {
   Page* existing = lookup(ino, index);
   Page& p = existing ? *existing : emplace(ino, index, lba);
   if (!p.data) {
@@ -122,13 +122,13 @@ block::BlockBuf& PageCache::write_page(Ino ino, std::uint64_t index,
     p.dirty_since = env_.now();
     dirty_count_++;
   }
+  fill(p.data.mutable_block());
   schedule_flusher();
   if (dirty_count_ > params_.dirty_high_water) {
     // bdflush: over the high-water mark, push everything dirty out (the
     // writes are asynchronous; only the initiator queue throttles us).
     writeback(nullptr);
   }
-  return p.data.mutable_block();
 }
 
 void PageCache::install_dirty(Ino ino, std::uint64_t index, block::Lba lba,

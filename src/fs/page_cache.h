@@ -64,9 +64,13 @@ class PageCache {
   void insert_clean_ref(Ino ino, std::uint64_t index, block::Lba lba,
                         core::BufRef data, sim::Time ready_at);
 
-  /// Returns a mutable buffer for the page, marking it dirty.  The page is
-  /// created zero-filled if absent.  `lba` is the disk block backing it.
-  block::BlockBuf& write_page(Ino ino, std::uint64_t index, block::Lba lba);
+  /// Marks the page dirty and lets `fill` write its new contents into it.
+  /// The page is created zero-filled if absent.  `lba` is the disk block
+  /// backing it.  Crossing the dirty high-water mark writes everything
+  /// back only after `fill` has run — Linux 2.4's commit_write ->
+  /// balance_dirty order — so the flush carries the new contents.
+  void write_page(Ino ino, std::uint64_t index, block::Lba lba,
+                  sim::FuncRef<void(block::BlockBuf&)> fill);
 
   /// Zero-copy full-block dirty install: adopts `data` as the page's new
   /// contents and marks it dirty — the write_page() twin for payloads

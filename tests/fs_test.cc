@@ -373,5 +373,46 @@ TEST(FsShortLastGroupTest, AllocationStaysInsideTheDevice) {
   fs.unmount();
 }
 
+// A write that crosses the page cache's dirty high-water mark must reach
+// the device with its new contents: the high-water write-back may not
+// clean the page before the caller has filled it.  Tiny cache, so the
+// crossing happens on the fifth page; remounting drops every cached page
+// and the read-back comes from the device.
+TEST(FsHighWaterTest, WriteCrossingDirtyHighWaterSurvivesRemount) {
+  sim::Env env;
+  block::MemBlockDevice dev(64 * 1024);
+  Ext3Fs::mkfs(dev, MkfsOptions{});
+  Ext3Params params;
+  params.page_cache.capacity_pages = 8;
+  params.page_cache.dirty_high_water = 4;
+  Ext3Fs fs(env, dev, params);
+  fs.mount();
+
+  auto ino = fs.create(kRootIno, "hw", 0644);
+  ASSERT_TRUE(ino.ok());
+  std::vector<std::uint8_t> data(8 * block::kBlockSize);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(1 + i / block::kBlockSize);
+  }
+  for (std::uint64_t page = 0; page < 8; ++page) {
+    ASSERT_TRUE(fs.write(*ino, page * block::kBlockSize,
+                         std::span<const std::uint8_t>{
+                             data.data() + page * block::kBlockSize,
+                             block::kBlockSize})
+                    .ok());
+  }
+  fs.unmount();
+  fs.mount();
+
+  std::vector<std::uint8_t> out(data.size());
+  auto n = fs.read(*ino, 0, out);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, data.size());
+  for (std::size_t page = 0; page < 8; ++page) {
+    EXPECT_EQ(out[page * block::kBlockSize], data[page * block::kBlockSize])
+        << "page " << page << " lost its write";
+  }
+}
+
 }  // namespace
 }  // namespace netstore::fs

@@ -28,6 +28,11 @@ core::BufRef make_block(std::uint8_t fill) {
   return b;
 }
 
+// Dirties a page without changing its contents.
+void dirty(PageCache& cache, Ino ino, std::uint64_t index, Lba lba) {
+  cache.write_page(ino, index, lba, [](BlockBuf&) {});
+}
+
 class PageCacheTest : public ::testing::Test {
  protected:
   PageCacheParams small_params() {
@@ -69,8 +74,8 @@ TEST_F(PageCacheTest, EvictionSkipsDirtyPagesWhileCleanOnesRemain) {
   const core::BufRef blk = make_block(0x11);
   // Coldest two pages are dirty; they must survive eviction while clean
   // pages exist.
-  cache.write_page(kInoA, 0, 100);
-  cache.write_page(kInoA, 1, 101);
+  dirty(cache, kInoA, 0, 100);
+  dirty(cache, kInoA, 1, 101);
   for (std::uint64_t i = 2; i < 8; ++i) {
     cache.insert_clean_ref(kInoA, i, 100 + i, blk, env_.now());
   }
@@ -85,13 +90,13 @@ TEST_F(PageCacheTest, AllDirtyCapacityPressureWritesBackThenEvicts) {
   p.dirty_high_water = 100;  // above capacity: pressure comes from eviction
   PageCache cache(env_, dev_, p);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    cache.write_page(kInoA, i, 100 + i);
+    dirty(cache, kInoA, i, 100 + i);
   }
   ASSERT_EQ(cache.dirty_pages(), 8u);
   // The 9th write finds no clean victim: the cache must write everything
   // back (one coalesced run: LBAs are contiguous) and then evict.
   const std::uint64_t writes_before = dev_.writes();
-  cache.write_page(kInoA, 8, 108);
+  dirty(cache, kInoA, 8, 108);
   EXPECT_GT(dev_.writes(), writes_before);
   EXPECT_LE(cache.resident_pages(), 8u);
   EXPECT_TRUE(cache.contains(kInoA, 8));
@@ -100,13 +105,13 @@ TEST_F(PageCacheTest, AllDirtyCapacityPressureWritesBackThenEvicts) {
 TEST_F(PageCacheTest, DirtyHighWaterTriggersCoalescedWriteback) {
   PageCache cache(env_, dev_, small_params());  // high water = 4
   for (std::uint64_t i = 0; i < 4; ++i) {
-    cache.write_page(kInoA, i, 300 + i);
+    dirty(cache, kInoA, i, 300 + i);
     EXPECT_EQ(dev_.writes(), 0u) << "flushed below the high-water mark";
   }
   EXPECT_EQ(cache.dirty_pages(), 4u);
   // Crossing the mark pushes everything out, and the LBA-contiguous run
   // must coalesce into a single device request.
-  cache.write_page(kInoA, 4, 304);
+  dirty(cache, kInoA, 4, 304);
   EXPECT_EQ(dev_.writes(), 1u);
   EXPECT_EQ(cache.dirty_pages(), 0u);
   EXPECT_EQ(cache.stats().writeback_pages.value(), 5u);
@@ -117,10 +122,10 @@ TEST_F(PageCacheTest, DirtyHighWaterTriggersCoalescedWriteback) {
 TEST_F(PageCacheTest, WritebackCoalescesRunsAcrossDiscontiguousLbas) {
   PageCache cache(env_, dev_, small_params());
   // Two separate LBA runs: {500,501,502} and {900,901}.
-  cache.write_page(kInoA, 0, 500);
-  cache.write_page(kInoA, 1, 501);
-  cache.write_page(kInoA, 2, 502);
-  cache.write_page(kInoB, 0, 900);
+  dirty(cache, kInoA, 0, 500);
+  dirty(cache, kInoA, 1, 501);
+  dirty(cache, kInoA, 2, 502);
+  dirty(cache, kInoB, 0, 900);
   cache.flush_all(false);
   EXPECT_EQ(dev_.writes(), 2u);
   EXPECT_EQ(cache.dirty_pages(), 0u);
@@ -148,10 +153,10 @@ TEST_F(PageCacheTest, DropInodeDiscardsInFlightReadahead) {
 
 TEST_F(PageCacheTest, DropInodeFromIndexKeepsEarlierPagesAndDirtyCount) {
   PageCache cache(env_, dev_, small_params());
-  cache.write_page(kInoA, 0, 100);
-  cache.write_page(kInoA, 1, 101);
-  cache.write_page(kInoA, 2, 102);
-  cache.write_page(kInoB, 0, 200);
+  dirty(cache, kInoA, 0, 100);
+  dirty(cache, kInoA, 1, 101);
+  dirty(cache, kInoA, 2, 102);
+  dirty(cache, kInoB, 0, 200);
   ASSERT_EQ(cache.dirty_pages(), 4u);
 
   cache.drop_inode(kInoA, /*from_index=*/1);  // truncate, keeps page 0
@@ -183,7 +188,7 @@ TEST_F(PageCacheTest, AgedFlusherWritesOldDirtyPages) {
   p.flush_interval = sim::seconds(5);
   p.max_dirty_age = sim::seconds(30);
   PageCache cache(env_, dev_, p);
-  cache.write_page(kInoA, 0, 100);
+  dirty(cache, kInoA, 0, 100);
   // Young dirty data survives early flusher ticks...
   env_.advance(sim::seconds(10));
   EXPECT_EQ(cache.dirty_pages(), 1u);
@@ -195,8 +200,7 @@ TEST_F(PageCacheTest, AgedFlusherWritesOldDirtyPages) {
 
 TEST_F(PageCacheTest, InsertCleanNeverClobbersDirtyData) {
   PageCache cache(env_, dev_, small_params());
-  BlockBuf& page = cache.write_page(kInoA, 0, 100);
-  page[0] = 0xee;
+  cache.write_page(kInoA, 0, 100, [](BlockBuf& page) { page[0] = 0xee; });
   const core::BufRef stale = make_block(0x00);
   cache.insert_clean_ref(kInoA, 0, 100, stale, env_.now());
   const core::BufRef* got = cache.find_ref(kInoA, 0);
@@ -207,14 +211,14 @@ TEST_F(PageCacheTest, InsertCleanNeverClobbersDirtyData) {
 
 TEST_F(PageCacheTest, ClearFlushesAndEmptiesCrashDiscards) {
   PageCache cache(env_, dev_, small_params());
-  cache.write_page(kInoA, 0, 100);
+  dirty(cache, kInoA, 0, 100);
   cache.clear();
   EXPECT_EQ(cache.resident_pages(), 0u);
   EXPECT_EQ(cache.dirty_pages(), 0u);
   EXPECT_EQ(dev_.writes(), 1u);
   EXPECT_GE(dev_.flushes(), 1u);
 
-  cache.write_page(kInoA, 1, 101);
+  dirty(cache, kInoA, 1, 101);
   cache.crash();
   EXPECT_EQ(cache.resident_pages(), 0u);
   EXPECT_EQ(dev_.writes(), 1u);  // dirty data lost, not written
