@@ -170,8 +170,14 @@ void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {
   std::vector<core::BufRef> refs;
   std::size_t i = 0;
   while (i < victims.size()) {
+    // A flusher tick dispatched inside an earlier run's device write may
+    // already have written (and cleaned) later victims: skip them.
+    if (!victims[i]->dirty) {
+      ++i;
+      continue;
+    }
     std::size_t run = 1;
-    while (i + run < victims.size() &&
+    while (i + run < victims.size() && victims[i + run]->dirty &&
            victims[i + run]->lba == victims[i]->lba + run) {
       run++;
     }
@@ -181,6 +187,7 @@ void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {
     for (std::size_t j = 0; j < run; ++j) {
       refs.push_back(victims[i + j]->data);  // shares the frame
       victims[i + j]->dirty = false;
+      NETSTORE_CHECK_GT(dirty_count_, 0u, "page-cache dirty count underflow");
       dirty_count_--;
     }
     dev_.write(victims[i]->lba, refs, block::WriteMode::kAsync);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "block/block.h"
 #include "block/mem_device.h"
@@ -223,6 +225,54 @@ TEST_F(PageCacheTest, ClearFlushesAndEmptiesCrashDiscards) {
   EXPECT_EQ(cache.resident_pages(), 0u);
   EXPECT_EQ(dev_.writes(), 1u);  // dirty data lost, not written
   env_.drain();                  // orphaned flusher events stay no-ops
+}
+
+// A device whose first write takes long enough, in virtual time, that
+// the page cache's periodic flusher fires inside it.
+class SlowFirstWriteDevice final : public block::BlockDevice {
+ public:
+  SlowFirstWriteDevice(sim::Env& env, sim::Duration first_write)
+      : env_(env), first_write_(first_write) {}
+
+  [[nodiscard]] std::uint64_t block_count() const override { return 1 << 16; }
+  void read(Lba, std::uint32_t nblocks,
+            std::vector<core::BufRef>& out) override {
+    for (std::uint32_t i = 0; i < nblocks; ++i) {
+      out.push_back(core::BufferPool::instance().zero_page());
+    }
+  }
+  void write(Lba, std::span<const core::BufRef>, block::WriteMode) override {
+    if (writes_++ == 0) env_.advance(first_write_);
+  }
+  void flush() override {}
+
+  [[nodiscard]] std::uint64_t writes() const { return writes_; }
+
+ private:
+  sim::Env& env_;
+  sim::Duration first_write_;
+  std::uint64_t writes_ = 0;
+};
+
+// Write-back re-entered by a flusher tick dispatched inside its own device
+// write: the inner pass cleans pages the outer pass still holds as
+// victims, and the outer pass must skip them rather than write and
+// un-count them a second time (the dirty counter would wrap and the
+// flusher would never go quiet).
+TEST_F(PageCacheTest, FlusherInsideWritebackDoesNotRecountCleanedPages) {
+  SlowFirstWriteDevice dev(env_, sim::seconds(40));
+  PageCacheParams p = small_params();
+  p.dirty_high_water = 100;
+  p.flush_interval = sim::seconds(5);
+  p.max_dirty_age = sim::seconds(30);
+  PageCache cache(env_, dev, p);
+  // Two discontiguous runs: two device writes, the first one slow.
+  dirty(cache, kInoA, 0, 100);
+  dirty(cache, kInoB, 0, 900);
+  cache.flush_all(false);
+  EXPECT_EQ(cache.dirty_pages(), 0u);
+  EXPECT_EQ(dev.writes(), 2u) << "the second run was written twice";
+  EXPECT_EQ(cache.stats().writeback_pages.value(), 2u);
 }
 
 }  // namespace
