@@ -1251,6 +1251,27 @@ void Ext3Fs::do_readahead(Ino ino, RawInode& ri, std::uint64_t index) {
   }
 }
 
+Result<Lba> Ext3Fs::map_for_write(Ino ino, RawInode& ri, std::uint64_t pos,
+                                  std::uint32_t len, bool& inode_dirtied) {
+  const std::uint64_t index = pos / kBlockSize;
+  bool dummy = false;
+  Result<Lba> old = bmap(ino, ri, index, /*alloc=*/false, dummy);
+  const bool was_mapped = old && *old != 0;
+
+  Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/true, inode_dirtied);
+  if (!lba) return lba;
+
+  // Partial overwrite of existing data needs the old contents.
+  if (len < kBlockSize && was_mapped && !pages_->contains(ino, index) &&
+      pos < ri.size + len) {
+    std::vector<core::BufRef> refs;
+    dev_.read(*lba, 1, refs);
+    pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
+                             env_.now());
+  }
+  return lba;
+}
+
 Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
                                     std::span<const std::uint8_t> in) {
   RawInode ri = read_inode(ino);
@@ -1266,24 +1287,8 @@ Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
     const std::uint32_t len =
         std::min<std::uint32_t>(n - done, kBlockSize - page_off);
 
-    const bool was_mapped = [&] {
-      bool dummy = false;
-      Result<Lba> r = bmap(ino, ri, index, /*alloc=*/false, dummy);
-      return r && *r != 0;
-    }();
-
-    Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/true, inode_dirtied);
+    Result<Lba> lba = map_for_write(ino, ri, pos, len, inode_dirtied);
     if (!lba) return lba.error();
-
-    // Partial overwrite of existing data needs the old contents.
-    const bool partial = len < kBlockSize;
-    if (partial && was_mapped && !pages_->contains(ino, index) &&
-        pos < ri.size + len) {
-      std::vector<core::BufRef> refs;
-      dev_.read(*lba, 1, refs);
-      pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
-                               env_.now());
-    }
     pages_->write_page(ino, index, *lba, [&](block::BlockBuf& page) {
       // The sanctioned user-buffer boundary: the one place on the write
       // data path where payload bytes enter pooled frames.
@@ -1321,13 +1326,7 @@ Result<std::uint32_t> Ext3Fs::write_iov(Ino ino, std::uint64_t off,
       const std::uint32_t len = std::min<std::uint32_t>(
           s.len - sdone, kBlockSize - page_off);
 
-      const bool was_mapped = [&] {
-        bool dummy = false;
-        Result<Lba> r = bmap(ino, ri, index, /*alloc=*/false, dummy);
-        return r && *r != 0;
-      }();
-
-      Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/true, inode_dirtied);
+      Result<Lba> lba = map_for_write(ino, ri, pos, len, inode_dirtied);
       if (!lba) return lba.error();
 
       if (page_off == 0 && s.off == 0 && s.len == kBlockSize) {
@@ -1335,14 +1334,6 @@ Result<std::uint32_t> Ext3Fs::write_iov(Ino ino, std::uint64_t off,
         // mutation of either alias un-shares via copy-on-write.
         pages_->install_dirty(ino, index, *lba, s.buf);
       } else {
-        const bool partial = len < kBlockSize;
-        if (partial && was_mapped && !pages_->contains(ino, index) &&
-            pos < ri.size + len) {
-          std::vector<core::BufRef> refs;
-          dev_.read(*lba, 1, refs);
-          pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
-                                   env_.now());
-        }
         pages_->write_page(ino, index, *lba, [&](block::BlockBuf& page) {
           // Sub-block merge between two pooled frames; charged at the user
           // boundary upstream.  netstore-lint: allow(raw-datapath-memcpy)

@@ -166,6 +166,12 @@ class Ext3Fs {
   Result<block::Lba> bmap(Ino ino, RawInode& ri, std::uint64_t index,
                           bool alloc, bool& inode_dirtied);
 
+  /// Maps (allocating) the block holding byte `pos` for a write of `len`
+  /// bytes there; a partial overwrite of existing data first faults the
+  /// old contents into the page cache.
+  Result<block::Lba> map_for_write(Ino ino, RawInode& ri, std::uint64_t pos,
+                                   std::uint32_t len, bool& inode_dirtied);
+
   /// Frees all data blocks at or beyond `from_index` (truncate helper).
   void free_blocks_from(Ino ino, RawInode& ri, std::uint64_t from_index);
 

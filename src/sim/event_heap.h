@@ -1,24 +1,25 @@
-// In-house d-ary min-heap for the simulator's pending-event queue.
+// In-house d-ary min-heap: the priority queue behind
+// iscsi::Initiator's outstanding write completions (sim::Env schedules on
+// the timing wheel, timer_wheel.h).
 //
-// std::priority_queue was costing the event loop twice: top() only hands
-// out a const reference, forcing a full Event copy before every pop (and
-// Events carry a type-erased callable), and the binary-heap layout takes
-// log2(n) cache-missing hops per operation.  This heap fixes both:
+// std::priority_queue costs a queue twice: top() only hands out a const
+// reference, forcing a full element copy before every pop, and the
+// binary-heap layout takes log2(n) cache-missing hops per operation.
+// This heap fixes both:
 //
 //   * pop() RETURNS the minimum BY MOVE — no copy, and the queue is
-//     already consistent before the caller runs the event's callback, so
-//     callbacks may freely push (schedule) re-entrantly.
+//     already consistent before the caller acts on the element, so the
+//     caller may freely push re-entrantly.
 //   * Arity 4 (the default) halves the tree depth; the 4-child min-scan
 //     stays within one cache line for small elements, which benchmarks
 //     consistently favour over binary heaps for sift-down-heavy loads
-//     (an event queue pops everything it pushes).
+//     (a completion queue pops everything it pushes).
 //   * Sift-up and sift-down move elements through a hole instead of
 //     swapping, one move per level instead of three.
 //
 // Ordering contract: `Less(a, b)` means a must pop before b.  Equal
-// elements have no stability guarantee — Env encodes FIFO tie-breaking
-// explicitly in its comparator via the (deadline, seq) pair, and the PR 1
-// audit hooks verify that contract on every pop.
+// elements have no stability guarantee; a caller that needs FIFO among
+// equal keys encodes it in the comparator (e.g. a sequence tie-break).
 #pragma once
 
 #include <cstddef>
