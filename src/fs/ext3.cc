@@ -1306,8 +1306,8 @@ Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
 
 Result<std::uint32_t> Ext3Fs::write_iov(Ino ino, std::uint64_t off,
                                         const core::IoVec& in) {
-  // write()'s zero-copy twin: the payload arrives as pooled-frame slices
-  // that were already charged at the caller's user boundary.  Slices that
+  // The payload arrives as pooled-frame slices that were already charged
+  // at the caller's user boundary.  Slices that
   // cover a whole aligned block are adopted outright (install_dirty);
   // sub-block slices merge into the resident page with an uncharged copy
   // — those bytes never cross a user boundary here.

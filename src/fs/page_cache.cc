@@ -106,15 +106,10 @@ void PageCache::insert_clean_ref(Ino ino, std::uint64_t index, block::Lba lba,
   if (ready_at > env_.now()) stats_.readahead_pages.add(1);
 }
 
-void PageCache::write_page(Ino ino, std::uint64_t index, block::Lba lba,
-                           sim::FuncRef<void(block::BlockBuf&)> fill) {
+PageCache::Page& PageCache::dirty_page(Ino ino, std::uint64_t index,
+                                       block::Lba lba) {
   Page* existing = lookup(ino, index);
   Page& p = existing ? *existing : emplace(ino, index, lba);
-  if (!p.data) {
-    // Fresh page: zero-filled, so a partial write leaves zeros elsewhere.
-    p.data = core::BufferPool::instance().alloc();
-    p.data.mutable_block().fill(0);
-  }
   if (p.ready_at > env_.now()) env_.advance_to(p.ready_at);
   p.lba = lba;
   if (!p.dirty) {
@@ -122,7 +117,10 @@ void PageCache::write_page(Ino ino, std::uint64_t index, block::Lba lba,
     p.dirty_since = env_.now();
     dirty_count_++;
   }
-  fill(p.data.mutable_block());
+  return p;
+}
+
+void PageCache::balance_dirty() {
   schedule_flusher();
   if (dirty_count_ > params_.dirty_high_water) {
     // bdflush: over the high-water mark, push everything dirty out (the
@@ -131,25 +129,24 @@ void PageCache::write_page(Ino ino, std::uint64_t index, block::Lba lba,
   }
 }
 
+void PageCache::write_page(Ino ino, std::uint64_t index, block::Lba lba,
+                           sim::FuncRef<void(block::BlockBuf&)> fill) {
+  Page& p = dirty_page(ino, index, lba);
+  if (!p.data) {
+    // Fresh page: zero-filled, so a partial write leaves zeros elsewhere.
+    p.data = core::BufferPool::instance().alloc();
+    p.data.mutable_block().fill(0);
+  }
+  fill(p.data.mutable_block());
+  balance_dirty();
+}
+
 void PageCache::install_dirty(Ino ino, std::uint64_t index, block::Lba lba,
                               core::BufRef data) {
-  // write_page()'s adopting twin: a full-block payload that already lives
-  // in a pooled frame replaces the page's frame outright — no zero-fill,
-  // no byte copy.  Dirty accounting and flusher behaviour are identical.
-  Page* existing = lookup(ino, index);
-  Page& p = existing ? *existing : emplace(ino, index, lba);
-  if (p.ready_at > env_.now()) env_.advance_to(p.ready_at);
-  p.data = std::move(data);
-  p.lba = lba;
-  if (!p.dirty) {
-    p.dirty = true;
-    p.dirty_since = env_.now();
-    dirty_count_++;
-  }
-  schedule_flusher();
-  if (dirty_count_ > params_.dirty_high_water) {
-    writeback(nullptr);
-  }
+  // The whole-block payload replaces the page's frame outright: no
+  // zero-fill, no byte copy.
+  dirty_page(ino, index, lba).data = std::move(data);
+  balance_dirty();
 }
 
 void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {

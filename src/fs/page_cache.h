@@ -72,11 +72,10 @@ class PageCache {
   void write_page(Ino ino, std::uint64_t index, block::Lba lba,
                   sim::FuncRef<void(block::BlockBuf&)> fill);
 
-  /// Zero-copy full-block dirty install: adopts `data` as the page's new
-  /// contents and marks it dirty — the write_page() twin for payloads
-  /// that already live in pooled frames (an IoVec slice covering the
-  /// whole block).  Same dirty accounting, flusher scheduling, and
-  /// high-water behaviour as write_page().
+  /// Full-block dirty install: adopts `data` as the page's new contents
+  /// and marks it dirty, for payloads that already live in pooled frames
+  /// (an IoVec slice covering the whole block).  Same dirty accounting,
+  /// flusher scheduling, and high-water behaviour as write_page().
   void install_dirty(Ino ino, std::uint64_t index, block::Lba lba,
                      core::BufRef data);
 
@@ -143,6 +142,11 @@ class PageCache {
   Page* lookup(Ino ino, std::uint64_t index);
   Page& emplace(Ino ino, std::uint64_t index, block::Lba lba);
   void evict_if_needed();
+  /// Looks up or creates the page (waiting out an in-flight read-ahead)
+  /// and marks it dirty, backed by `lba`.
+  Page& dirty_page(Ino ino, std::uint64_t index, block::Lba lba);
+  /// Arms the flusher and, over the dirty high-water mark, writes back.
+  void balance_dirty();
   /// Writes dirty pages selected by `pred` (null = all), coalescing
   /// LBA-contiguous runs into one device write each; async.
   void writeback(sim::FuncRef<bool(const Key&, const Page&)> pred);
