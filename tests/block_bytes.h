@@ -10,7 +10,7 @@
 #include "block/block.h"
 #include "core/buffer_pool.h"
 
-namespace netstore::testing {
+namespace netstore::test {
 
 /// One fresh frame per whole block of `bytes`.
 inline std::vector<core::BufRef> frames_of(std::span<const std::uint8_t> bytes) {
@@ -33,4 +33,4 @@ inline std::vector<std::uint8_t> bytes_of(const std::vector<core::BufRef>& refs)
   return bytes;
 }
 
-}  // namespace netstore::testing
+}  // namespace netstore::test

@@ -15,8 +15,8 @@
 namespace netstore::block {
 namespace {
 
-using netstore::testing::bytes_of;
-using netstore::testing::frames_of;
+using netstore::test::bytes_of;
+using netstore::test::frames_of;
 
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
   std::vector<std::uint8_t> v(n);

@@ -15,8 +15,8 @@
 namespace netstore::iscsi {
 namespace {
 
-using netstore::testing::bytes_of;
-using netstore::testing::frames_of;
+using netstore::test::bytes_of;
+using netstore::test::frames_of;
 
 class IscsiTest : public ::testing::Test {
  protected:
