@@ -14,8 +14,8 @@ void Disk::read_data(Lba lba, MutBlockView out) const {
   if (it == store_.end()) {
     std::fill(out.begin(), out.end(), std::uint8_t{0});
   } else {
-    // Metadata-path read into a caller-owned staging block (Bcache, RAID
-    // parity math); the payload path uses read_ref().
+    // Read into a caller-owned scratch block for RAID parity math; the
+    // data path uses read_ref().
     // netstore-lint: allow(raw-datapath-memcpy)
     std::memcpy(out.data(), it->second.data(), kBlockSize);
   }
