@@ -18,13 +18,11 @@ Initiator::Initiator(sim::Env& env, net::Link& link, Target& target,
 
 std::unique_ptr<Initiator> Initiator::clone(sim::Env& env, net::Link& link,
                                             Target& target) const {
-  // The completion heap is reaped lazily, so entries in the past are fine
-  // — one in the future is an async write still in flight, which a
+  // The completion window is reaped lazily, so entries in the past are
+  // fine — one in the future is an async write still in flight, which a
   // quiesced fork rules out.
-  for (auto pending = outstanding_; !pending.empty();) {
-    NETSTORE_CHECK_LE(pending.pop(), env.now(),
-                      "cannot clone an Initiator with writes in flight");
-  }
+  NETSTORE_CHECK(outstanding_.settled_by(env.now()),
+                 "cannot clone an Initiator with writes in flight");
   auto copy = std::make_unique<Initiator>(env, link, target, params_);
   copy->state_ = state_;
   copy->outstanding_ = outstanding_;
@@ -155,16 +153,6 @@ sim::Time Initiator::issue_write(block::Lba lba,
   return link_.send_at(Direction::kServerToClient, pdu_size(0), served);
 }
 
-void Initiator::reserve_queue_slot() {
-  while (!outstanding_.empty() && outstanding_.top() <= env_.now()) {
-    outstanding_.pop();
-  }
-  while (outstanding_.size() >= params_.queue_depth) {
-    env_.advance_to(outstanding_.top());
-    outstanding_.pop();
-  }
-}
-
 void Initiator::read(block::Lba lba, std::uint32_t nblocks,
                      std::vector<core::BufRef>& out) {
   std::uint32_t done = 0;
@@ -196,21 +184,16 @@ void Initiator::write(block::Lba lba, std::span<const core::BufRef> refs,
   sim::Time last = env_.now();
   while (done < nblocks) {
     const std::uint32_t n = std::min(nblocks - done, burst_blocks);
-    reserve_queue_slot();
+    outstanding_.reserve(env_, params_.queue_depth);
     const sim::Time complete = issue_write(lba + done, refs.subspan(done, n));
-    outstanding_.push(complete);
+    outstanding_.add(complete);
     last = std::max(last, complete);
     done += n;
   }
   if (mode == block::WriteMode::kSync) env_.advance_to(last);
 }
 
-void Initiator::flush() {
-  while (!outstanding_.empty()) {
-    env_.advance_to(outstanding_.top());
-    outstanding_.pop();
-  }
-}
+void Initiator::flush() { outstanding_.drain(env_); }
 
 void Initiator::reset_stats() {
   exchanges_.reset();

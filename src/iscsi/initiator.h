@@ -21,7 +21,7 @@
 #include "iscsi/target.h"
 #include "net/link.h"
 #include "sim/env.h"
-#include "sim/event_heap.h"
+#include "sim/inflight_window.h"
 #include "sim/stats.h"
 
 namespace netstore::iscsi {
@@ -80,7 +80,7 @@ class Initiator final : public block::BlockDevice {
   void set_cost_hook(InitiatorCostHook hook) { cost_hook_ = std::move(hook); }
 
   /// Deep copy for checkpoint/fork, rehomed onto the cloned env/link/
-  /// target: session state, the tagged-queue completion heap, and the
+  /// target: session state, the tagged-queue completion window, and the
   /// exchange counters.  CHECKs that no async write is still in flight
   /// (every queued completion time <= now) — the quiesced-fork rule.  The
   /// cost hook is NOT copied; the forking Testbed installs its own.
@@ -99,10 +99,6 @@ class Initiator final : public block::BlockDevice {
   /// arrival time.  Does not block.
   sim::Time issue_write(block::Lba lba, std::span<const core::BufRef> refs);
 
-  /// Pops completions that are already in the past; if the queue is still
-  /// full, blocks (advances the clock) until a slot frees up.
-  void reserve_queue_slot();
-
   sim::Env& env_;
   net::Link& link_;
   Target& target_;
@@ -112,8 +108,8 @@ class Initiator final : public block::BlockDevice {
   // installs its own (see clone())
   InitiatorCostHook cost_hook_;
 
-  // Min-heap of outstanding async-write response arrival times.
-  sim::DaryHeap<sim::Time, std::less<sim::Time>> outstanding_;
+  // Response arrival times of outstanding async writes (tagged queue).
+  sim::InflightWindow outstanding_;
 
   sim::Counter exchanges_;
   sim::Counter write_commands_;

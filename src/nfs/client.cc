@@ -35,13 +35,11 @@ std::unique_ptr<NfsClient> NfsClient::clone(sim::Env& env,
   NETSTORE_CHECK(!deleg_flush_scheduled_,
                  "cannot clone an NfsClient with a scheduled delegation "
                  "flush");
-  // The write pool holds completion times of outstanding WRITE RPCs; it is
-  // reaped lazily, so entries in the past are fine — one in the future is
-  // a write still in flight, which a quiesced fork rules out.
-  for (auto pool = write_pool_; !pool.empty(); pool.pop()) {
-    NETSTORE_CHECK_LE(pool.top(), env.now(),
-                      "cannot clone an NfsClient with writes in flight");
-  }
+  // The write pool is reaped lazily, so completions in the past are fine
+  // — one in the future is a write still in flight, which a quiesced fork
+  // rules out.
+  NETSTORE_CHECK(write_pool_.settled_by(env.now()),
+                 "cannot clone an NfsClient with writes in flight");
 
   auto copy = std::make_unique<NfsClient>(env, rpc, server, config_);
   copy->mounted_ = mounted_;
@@ -50,21 +48,19 @@ std::unique_ptr<NfsClient> NfsClient::clone(sim::Env& env,
   copy->deleg_negative_ = deleg_negative_;
   copy->attrs_ = attrs_;
   copy->access_cache_ = access_cache_;
-  // The page LRU is a std::list of keys; copying it preserves recency
-  // order, after which each cloned page's lru_pos iterator is re-anchored
-  // into the new list.
-  copy->page_lru_ = page_lru_;
   copy->pages_.reserve(pages_.size());
-  for (auto it = copy->page_lru_.begin(); it != copy->page_lru_.end(); ++it) {
-    const auto src = pages_.find(*it);
-    NETSTORE_CHECK(src != pages_.end(), "page LRU key with no page");
-    Page& p = copy->pages_[*it];
-    p.data = src->second.data;  // shares the frame (copy-on-write)
-    p.ready_at = src->second.ready_at;
-    p.lru_pos = it;
+  // Hash-map iteration order only affects the clone's internal layout;
+  // eviction order is rebuilt exactly below.
+  // netstore-lint: allow(unordered-iter)
+  for (const auto& [key, page] : pages_) {
+    Page& p = copy->pages_[key];
+    p.key = key;
+    p.data = page.data;  // shares the frame (copy-on-write)
+    p.ready_at = page.ready_at;
   }
-  NETSTORE_CHECK_EQ(copy->pages_.size(), pages_.size(),
-                    "page map and page LRU out of sync");
+  core::clone_lru_order(page_lru_, copy->page_lru_, [&copy](const Page& src) {
+    return &copy->pages_.find(src.key)->second;
+  });
   copy->files_ = files_;
   copy->write_pool_ = write_pool_;
   copy->deleg_queue_ = deleg_queue_;
@@ -259,7 +255,7 @@ void NfsClient::mount() {
 void NfsClient::unmount() {
   NETSTORE_CHECK(mounted_, "NFS client not mounted");
   flush_delegated_updates();
-  drain_writes();
+  write_pool_.drain(env_);
   invalidate_caches();
   mounted_ = false;
 }
@@ -270,7 +266,7 @@ void NfsClient::invalidate_caches() {
   attrs_.clear();
   access_cache_.clear();
   pages_.clear();
-  page_lru_.clear();
+  page_lru_.reset();
   files_.clear();
 }
 

@@ -18,9 +18,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,8 +29,10 @@
 #include "rpc/rpc.h"
 #include "block/block.h"
 #include "core/buffer_pool.h"
+#include "core/intrusive_lru.h"
 #include "core/iovec.h"
 #include "sim/env.h"
+#include "sim/inflight_window.h"
 #include "sim/stats.h"
 
 namespace netstore::nfs {
@@ -157,7 +157,7 @@ class NfsClient {
 
   /// Waits out every outstanding asynchronous WRITE RPC, advancing the
   /// clock to each completion (Testbed::quiesce() support).
-  void drain_pending_writes() { drain_writes(); }
+  void drain_pending_writes() { write_pool_.drain(env_); }
 
   /// Deep copy for checkpoint/fork, rehomed onto the cloned env/rpc/server:
   /// dentry/attr/access caches, the page cache (LRU order preserved), file
@@ -203,9 +203,11 @@ class NfsClient {
     }
   };
   struct Page {
-    core::BufRef data;  // pooled frame; may be shared with a fork
+    Page* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
+    Page* lru_next = nullptr;
+    PageKey key{};             // owning map key, for erase via LRU walk
+    core::BufRef data;         // pooled frame; may be shared with a fork
     sim::Time ready_at = 0;
-    std::list<PageKey>::iterator lru_pos;
   };
   struct FileState {
     sim::Time last_reval = -1;
@@ -272,8 +274,6 @@ class NfsClient {
                     std::uint64_t eof_page, std::uint32_t chunk_pages);
   /// Demand READ RPC for `count` bytes at `off`; fills pages.
   fs::Status fetch_range(Fh fh, std::uint64_t off, std::uint32_t count);
-  void reserve_write_slot();
-  void drain_writes();
 
   // -- v4 helpers --
   void v4_open_sequence(Fh fh, FileState& st, bool with_access);
@@ -328,12 +328,11 @@ class NfsClient {
   std::unordered_map<Fh, CachedAttr> attrs_;
   std::unordered_map<Fh, sim::Time> access_cache_;  // v4
   std::unordered_map<PageKey, Page, PageKeyHash> pages_;
-  std::list<PageKey> page_lru_;
+  core::LruList<Page> page_lru_;  // front = most recent
   std::unordered_map<Fh, FileState> files_;
 
-  std::priority_queue<sim::Time, std::vector<sim::Time>,
-                      std::greater<sim::Time>>
-      write_pool_;
+  // Completion times of outstanding async WRITE RPCs (v3/v4).
+  sim::InflightWindow write_pool_;
 
   // §7 delegation state.
   std::vector<PendingUpdate> deleg_queue_;

@@ -18,7 +18,7 @@ using block::kBlockSize;
 NfsClient::Page* NfsClient::find_page(Fh fh, std::uint64_t index) {
   auto it = pages_.find(PageKey{fh, index});
   if (it == pages_.end()) return nullptr;
-  page_lru_.splice(page_lru_.begin(), page_lru_, it->second.lru_pos);
+  page_lru_.touch(&it->second);
   return &it->second;
 }
 
@@ -26,19 +26,16 @@ void NfsClient::insert_page_ref(Fh fh, std::uint64_t index, core::BufRef data,
                                 sim::Time ready_at) {
   evict_pages_if_needed();
   const PageKey key{fh, index};
-  auto it = pages_.find(key);
-  if (it == pages_.end()) {
-    page_lru_.push_front(key);
-    Page& p = pages_[key];
-    p.data = std::move(data);  // adopts the handle: no copy, no allocation
-    p.lru_pos = page_lru_.begin();
-    p.ready_at = ready_at;
+  auto [it, inserted] = pages_.try_emplace(key);
+  Page& p = it->second;
+  if (inserted) {
+    p.key = key;
+    page_lru_.push_front(&p);
   } else {
-    page_lru_.splice(page_lru_.begin(), page_lru_, it->second.lru_pos);
-    Page& p = it->second;
-    p.data = std::move(data);
-    p.ready_at = ready_at;
+    page_lru_.touch(&p);
   }
+  p.data = std::move(data);  // adopts the handle: no copy, no allocation
+  p.ready_at = ready_at;
 }
 
 void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
@@ -71,7 +68,7 @@ void NfsClient::drop_pages(Fh fh) {
   // netstore-lint: allow(unordered-iter) -- pure erase, no I/O or stats
   for (auto it = pages_.begin(); it != pages_.end();) {
     if (it->first.fh == fh) {
-      page_lru_.erase(it->second.lru_pos);
+      page_lru_.unlink(&it->second);
       it = pages_.erase(it);
     } else {
       ++it;
@@ -83,8 +80,10 @@ void NfsClient::evict_pages_if_needed() {
   // The NFS page cache is write-through (every write is already an RPC in
   // flight), so eviction never loses data.
   while (pages_.size() >= config_.page_cache_capacity && !page_lru_.empty()) {
-    pages_.erase(page_lru_.back());
-    page_lru_.pop_back();
+    Page* victim = page_lru_.back();
+    page_lru_.unlink(victim);
+    const PageKey key = victim->key;  // copy: erase destroys the node
+    pages_.erase(key);
   }
 }
 
@@ -234,7 +233,7 @@ fs::Status NfsClient::close(Fh fh) {
   }
   FileState& st = files_[fh];
   if (st.needs_commit) {
-    drain_writes();
+    write_pool_.drain(env_);
     if (config_.version != Version::kV2) {
       call(Proc::kCommit, WireSizes::kFh + 16, WireSizes::kAttrs,
            [&] { (void)server_.commit(to_real(fh)); });
@@ -257,7 +256,7 @@ fs::Status NfsClient::fsync(Fh fh) {
     fh = to_real(fh);
   }
   FileState& st = files_[fh];
-  drain_writes();
+  write_pool_.drain(env_);
   if (config_.version != Version::kV2 && st.needs_commit) {
     call(Proc::kCommit, WireSizes::kFh + 16, WireSizes::kAttrs,
          [&] { (void)server_.commit(to_real(fh)); });
@@ -412,25 +411,6 @@ fs::Result<std::uint32_t> NfsClient::read(Fh fh, std::uint64_t off,
 // write
 // ---------------------------------------------------------------------------
 
-void NfsClient::reserve_write_slot() {
-  while (!write_pool_.empty() && write_pool_.top() <= env_.now()) {
-    write_pool_.pop();
-  }
-  while (write_pool_.size() >= config_.write_pool_slots) {
-    // Pool full: pseudo-synchronous behaviour — the application blocks
-    // until the oldest outstanding WRITE completes.
-    env_.advance_to(write_pool_.top());
-    write_pool_.pop();
-  }
-}
-
-void NfsClient::drain_writes() {
-  while (!write_pool_.empty()) {
-    if (write_pool_.top() > env_.now()) env_.advance_to(write_pool_.top());
-    write_pool_.pop();
-  }
-}
-
 fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
                                            std::span<const std::uint8_t> in) {
   if (delegated() && is_provisional(fh)) {
@@ -502,13 +482,13 @@ fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
       });
       if (!out) return out.error();
     } else {
-      reserve_write_slot();
+      write_pool_.reserve(env_, config_.write_pool_slots);
       const std::uint64_t wpos = pos;
       const sim::Time completion = call_async(
           Proc::kWrite, WireSizes::kFh + 16 + chunk, WireSizes::kAttrs, [&] {
             (void)server_.write_iov(real, wpos, iov, /*stable=*/false);
           });
-      write_pool_.push(completion);
+      write_pool_.add(completion);
       st.needs_commit = true;
     }
     done += chunk;

@@ -1,10 +1,11 @@
 // Unit tests for the simulation core: virtual clock, event queue,
-// deterministic PRNG, statistics.
+// in-flight window, deterministic PRNG, statistics.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/env.h"
+#include "sim/inflight_window.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 
@@ -164,6 +165,32 @@ TEST(EnvDeathTest, CheckQuiescedFiresWithPendingEvents) {
   Env env;
   env.schedule_at(seconds(1), [] {});
   EXPECT_DEATH(env.check_quiesced(), "events still pending at teardown");
+}
+
+TEST(InflightWindowTest, FullWindowBlocksReapsPastAndDrainsToLatest) {
+  Env env;
+  InflightWindow w;
+  w.add(milliseconds(30));
+  w.add(milliseconds(10));
+  w.add(milliseconds(20));
+  EXPECT_FALSE(w.settled_by(milliseconds(20)));
+
+  // Full at 3 slots: blocks until the earliest completion frees one.
+  w.reserve(env, 3);
+  EXPECT_EQ(env.now(), milliseconds(10));
+  EXPECT_EQ(w.size(), 2u);
+
+  // Entries already in the past are reaped without moving the clock.
+  env.advance_to(milliseconds(25));
+  w.reserve(env, 3);
+  EXPECT_EQ(env.now(), milliseconds(25));
+  EXPECT_EQ(w.size(), 1u);
+
+  w.add(milliseconds(40));
+  EXPECT_TRUE(w.settled_by(milliseconds(40)));
+  w.drain(env);
+  EXPECT_EQ(env.now(), milliseconds(40));
+  EXPECT_EQ(w.size(), 0u);
 }
 
 TEST(RngTest, Deterministic) {

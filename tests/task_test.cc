@@ -1,19 +1,13 @@
 // Unit tests for the hot-path primitives behind the event loop:
-// sim::Task (inline-storage move-only callable), sim::FuncRef (non-owning
-// callable view), and sim::DaryHeap (the 4-ary event heap).
+// sim::Task (inline-storage move-only callable) and sim::FuncRef
+// (non-owning callable view).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <memory>
-#include <queue>
-#include <string>
 #include <utility>
-#include <vector>
 
-#include "sim/event_heap.h"
-#include "sim/rng.h"
 #include "sim/task.h"
 
 namespace netstore::sim {
@@ -143,104 +137,6 @@ TEST(FuncRefTest, SeesMutationsInTheReferencedCallable) {
   FuncRef<int()> ref(fn);
   fn();
   EXPECT_EQ(ref(), 2);  // same underlying state, not a copy
-}
-
-// --- DaryHeap ------------------------------------------------------------
-
-TEST(DaryHeapTest, PopsInSortedOrder) {
-  DaryHeap<int, std::less<int>> heap;
-  for (int v : {5, 1, 4, 1, 5, 9, 2, 6}) heap.push(v);
-  std::vector<int> out;
-  while (!heap.empty()) out.push_back(heap.pop());
-  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
-  EXPECT_EQ(out.size(), 8u);
-}
-
-TEST(DaryHeapTest, MatchesPriorityQueueOnRandomStream) {
-  // Interleaved pushes and pops against the std::priority_queue oracle.
-  Rng rng(20260807);
-  DaryHeap<std::uint64_t, std::less<std::uint64_t>> heap;
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<std::uint64_t>>
-      oracle;
-  for (int step = 0; step < 20000; ++step) {
-    const bool push = oracle.empty() || rng.uniform(3) != 0;
-    if (push) {
-      const std::uint64_t v = rng.next() % 1000;
-      heap.push(v);
-      oracle.push(v);
-    } else {
-      ASSERT_EQ(heap.top(), oracle.top());
-      ASSERT_EQ(heap.pop(), oracle.top());
-      oracle.pop();
-    }
-    ASSERT_EQ(heap.size(), oracle.size());
-  }
-}
-
-TEST(DaryHeapTest, MoveOnlyElements) {
-  struct Item {
-    std::unique_ptr<int> v;
-    bool operator>(const Item& o) const { return *v > *o.v; }
-  };
-  struct Less {
-    bool operator()(const Item& a, const Item& b) const { return *a.v < *b.v; }
-  };
-  DaryHeap<Item, Less> heap;
-  for (int v : {3, 1, 2}) heap.push(Item{std::make_unique<int>(v)});
-  EXPECT_EQ(*heap.pop().v, 1);
-  EXPECT_EQ(*heap.pop().v, 2);
-  EXPECT_EQ(*heap.pop().v, 3);
-}
-
-TEST(DaryHeapTest, StableForEqualKeysViaSequenceTieBreak) {
-  // The Env Event ordering contract: (deadline, seq) — equal deadlines
-  // pop in insertion order.  Model it the same way Env does.
-  struct Ev {
-    std::uint64_t at;
-    std::uint64_t seq;
-  };
-  struct Sooner {
-    bool operator()(const Ev& a, const Ev& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
-  Rng rng(7);
-  DaryHeap<Ev, Sooner> heap;
-  for (std::uint64_t seq = 0; seq < 5000; ++seq) {
-    heap.push(Ev{rng.next() % 16, seq});
-  }
-  std::uint64_t prev_at = 0;
-  std::uint64_t prev_seq = 0;
-  bool first = true;
-  while (!heap.empty()) {
-    const Ev ev = heap.pop();
-    if (!first && ev.at == prev_at) {
-      EXPECT_GT(ev.seq, prev_seq);
-    } else if (!first) {
-      EXPECT_GT(ev.at, prev_at);
-    }
-    prev_at = ev.at;
-    prev_seq = ev.seq;
-    first = false;
-  }
-}
-
-TEST(DaryHeapTest, PushDuringDrainPattern) {
-  // The heap must be structurally consistent before a popped element is
-  // used — Env invokes callbacks that push new events mid-drain.
-  DaryHeap<int, std::less<int>> heap;
-  heap.push(10);
-  heap.push(20);
-  std::vector<int> order;
-  while (!heap.empty()) {
-    const int v = heap.pop();
-    order.push_back(v);
-    if (v == 10) heap.push(15);
-    if (v == 15) heap.push(30);
-  }
-  EXPECT_EQ(order, (std::vector<int>{10, 15, 20, 30}));
 }
 
 }  // namespace
