@@ -33,12 +33,11 @@
 //                 bytes/syscall is ~0 in the warm steady state
 //                 (DESIGN.md §19).
 //
-//   timer ops/sec  the cancellable-timer churn the wheel exists for
-//                 (DESIGN.md §18): arm N timers spread across the wheel
-//                 levels, cancel half by handle, fire the rest.  Run per
-//                 depth (10^2..10^6 pending); O(1) per op means the rate
-//                 stays flat with depth.  The CI gate pins the
-//                 10^5-pending point.
+//   timer ops/sec  near-term schedule-and-fire churn over a standing set
+//                 of N far-future events (DESIGN.md §18).  Run per depth
+//                 (10^2..10^6 pending); O(1) per op means the rate stays
+//                 flat with depth.  The CI gate pins the 10^5-pending
+//                 point.
 //
 //   shard speedup  (--shards N) the sharded parallel drive (DESIGN.md
 //                 §17): an NFSv3 fleet of --shard-clients flyweights
@@ -125,39 +124,35 @@ double events_per_sec(std::uint64_t total_events, int chains) {
 // --- timer ops/sec (hierarchical wheel, DESIGN.md §18) -------------------
 //
 // The depth question the wheel answers: how fast are near-term
-// schedule/cancel/fire operations while a large *standing set* of
-// pending timers sits underneath — a million fleet arrivals, thousands
-// of armed retransmission timers.  Per depth: arm `pending` far-future
-// timers (untimed), then run a timed churn of short-deadline timers over
-// them — arm, cancel half by handle, fire the rest by advancing.  The
-// churn lives in the wheel's lowest levels and never touches the
-// standing set, so the rate is O(1) per op regardless of depth.
+// schedule/fire operations while a large *standing set* of pending
+// events sits underneath — a million fleet arrivals, say.  Per depth:
+// schedule `pending` far-future events (untimed), then run a timed churn
+// of short-deadline events over them — schedule a batch, fire it by
+// advancing.  The churn lives in the wheel's lowest levels and never
+// touches the standing set, so the rate is O(1) per op regardless of
+// depth.
 struct TimerPoint {
   std::uint64_t pending = 0;
   double ops_per_sec = 0.0;
 };
 
-// One churn pass: batches of near-term timers (the RPC pattern: every
-// one is armed, half are cancelled by the "reply", half fire).  Returns
-// ops performed; each armed timer counts twice (arm + resolution).
+// One churn pass: batches of near-term events, each scheduled and then
+// fired by advancing.  Returns ops performed; each event counts twice
+// (schedule + fire).
 std::uint64_t timer_churn(netstore::sim::Env& env, std::uint64_t churn_ops,
                           std::uint64_t& sink) {
   constexpr std::uint64_t kBatch = 256;
   constexpr std::uint64_t kWindow = 64;  // ns per batch: wheel level 0
-  std::vector<netstore::sim::TimerHandle> handles(kBatch);
   std::uint64_t ops = 0;
   while (ops < churn_ops) {
     const netstore::sim::Time base = env.now();
     for (std::uint64_t b = 0; b < kBatch; ++b) {
       const auto at = static_cast<netstore::sim::Time>(
           base + 1 + netstore::sim::mix64(ops + b) % kWindow);
-      handles[b] = env.arm_timer_at(at, [&sink, b] { sink += b; });
+      env.schedule_at(at, [&sink, b] { sink += b; });
     }
-    for (std::uint64_t b = 0; b < kBatch; b += 2) {
-      if (!env.cancel_timer(handles[b])) std::abort();
-    }
-    env.advance_to(base + kWindow);  // fires the surviving half
-    ops += 2 * kBatch;  // each armed timer is resolved exactly once
+    env.advance_to(base + kWindow);  // fires the whole batch
+    ops += 2 * kBatch;
   }
   return ops;
 }
@@ -172,11 +167,11 @@ double timer_ops_per_sec(std::uint64_t pending, std::uint64_t churn_ops) {
   for (std::uint64_t i = 0; i < pending; ++i) {
     const auto at = static_cast<netstore::sim::Time>(
         (std::uint64_t{1} << 50) + netstore::sim::mix64(i) % (1 << 30));
-    (void)env.arm_timer_at(at, [&sink, i] { sink += i; });
+    env.schedule_at(at, [&sink, i] { sink += i; });
   }
 
-  // Warm-up (untimed): faults in the handle table and bucket vectors and
-  // lets the CPU leave its idle frequency before the timed pass.
+  // Warm-up (untimed): faults in the bucket vectors and lets the CPU
+  // leave its idle frequency before the timed pass.
   (void)timer_churn(env, churn_ops / 4, sink);
 
   const auto t0 = Clock::now();

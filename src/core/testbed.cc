@@ -379,11 +379,10 @@ StatsSnapshot Testbed::snapshot() const {
 void Testbed::register_metrics() {
   // Engine scheduling telemetry (DESIGN.md §18).  cascades counts the
   // wheel's overflow-bucket refiling work, so it tracks how far ahead
-  // timers are armed, not how many there are.
+  // events are scheduled, not how many there are.
   sim::TimerStats& ts = env_.mutable_timer_stats();
   metrics_.adopt_counter("sim.timer.scheduled", ts.scheduled);
   metrics_.adopt_counter("sim.timer.fired", ts.fired);
-  metrics_.adopt_counter("sim.timer.cancelled", ts.cancelled);
   metrics_.adopt_counter("sim.timer.cascades", ts.cascades);
 
   metrics_.adopt_counter(

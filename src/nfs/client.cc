@@ -232,7 +232,7 @@ fs::Result<Fh> NfsClient::walk_parent(const std::string& path,
   leaf = parts.back();
   std::string parent;
   for (std::size_t i = 0; i + 1 < parts.size(); ++i) parent += "/" + parts[i];
-  if (parent.empty()) parent = "/";
+  if (parent.empty()) parent.push_back('/');
   return walk(parent);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/check.h"
 #include "obs/trace.h"
 
 namespace netstore::rpc {
@@ -29,21 +28,11 @@ sim::Time RpcTransport::exchange(std::uint32_t request_payload,
 
   // Spurious client retransmissions: the timer fires while the reply is
   // still in flight; each duplicate request costs a message and delays the
-  // effective completion (duplicate processing at the server).
-  //
-  // The timer itself is a real cancellable Env timer, armed with the
-  // request and disarmed by the reply, exactly like the Linux client's —
-  // a retransmission is a fire + backoff re-arm of the same handle.  The
-  // fire's side effect (the duplicate send) is applied synchronously in
-  // caller context, the house hybrid style (env.h): the reply time is
-  // already determined here, so the number of fires is the closed-form
-  // duplicate count and the Figure 6 message counts are byte-for-byte
-  // what the pre-wheel engine produced.  Because every arm is cancelled
-  // or rescheduled before exchange() returns, the callback can never run.
+  // effective completion (duplicate processing at the server).  The reply
+  // time is already determined here, so the fires are counted in closed
+  // form and each duplicate is sent in caller context, the house hybrid
+  // style (env.h).
   if (config_.retrans_timeout > 0) {
-    sim::TimerHandle timer = env_.arm_timer_after(config_.retrans_timeout, [] {
-      NETSTORE_CHECK(false, "rpc retransmission timer outlived its call");
-    });
     // Exponential backoff caps the damage: at most two duplicates per
     // call (minor timeouts double the timer in the Linux client).
     const auto duplicates = std::min<std::uint64_t>(
@@ -55,12 +44,7 @@ sim::Time RpcTransport::exchange(std::uint32_t request_payload,
                              config_.retrans_timeout);
       stats_.retransmissions.add(1);
       reply += config_.retrans_penalty;
-      timer = env_.reschedule_timer_at(
-          timer, t0 + static_cast<sim::Duration>(i + 2) *
-                          config_.retrans_timeout);
     }
-    const bool disarmed = env_.cancel_timer(timer);
-    NETSTORE_CHECK(disarmed, "rpc retransmission timer lost before reply");
   }
   return reply;
 }

@@ -13,15 +13,11 @@ Env::Env() {
   wheel_.set_cascade_counter(&timer_stats_.cascades);
 }
 
-void Env::check_deadline(Time at) const {
+void Env::schedule_at(Time at, Task fn) {
   // kNoEvent is the "no pending work" sentinel consumed by the sharded
   // horizon logic; letting an event carry it (or a wrapped negative from
   // an overflowing now+after) would silently corrupt epoch skipping.
   NETSTORE_CHECK_LT(at, kNoEvent, "event deadline overflows sim::Time");
-}
-
-void Env::schedule_at(Time at, Task fn) {
-  check_deadline(at);
   timer_stats_.scheduled.add(1);
   wheel_.push(at, next_seq_++, std::move(fn));
 }
@@ -30,33 +26,6 @@ void Env::schedule_after(Duration after, Task fn) {
   NETSTORE_CHECK_LE(after, kNoEvent - 1 - now_,
                     "event deadline overflows sim::Time");
   schedule_at(now_ + after, std::move(fn));
-}
-
-TimerHandle Env::arm_timer_at(Time at, Task fn) {
-  check_deadline(at);
-  timer_stats_.scheduled.add(1);
-  return wheel_.arm(at, next_seq_++, std::move(fn));
-}
-
-TimerHandle Env::arm_timer_after(Duration after, Task fn) {
-  NETSTORE_CHECK_LE(after, kNoEvent - 1 - now_,
-                    "event deadline overflows sim::Time");
-  return arm_timer_at(now_ + after, std::move(fn));
-}
-
-bool Env::cancel_timer(TimerHandle h) {
-  if (!wheel_.cancel(h)) return false;
-  timer_stats_.cancelled.add(1);
-  return true;
-}
-
-TimerHandle Env::reschedule_timer_at(TimerHandle h, Time at) {
-  check_deadline(at);
-  const TimerHandle moved = wheel_.reschedule(h, at, next_seq_);
-  if (!moved.valid()) return moved;
-  ++next_seq_;  // a reschedule re-enters FIFO order as the newest event
-  timer_stats_.scheduled.add(1);
-  return moved;
 }
 
 void Env::audit_pop(Time at, std::uint64_t seq, Time target) {
@@ -100,13 +69,13 @@ void Env::run_pending(Time target, bool drain_all) {
   for (;;) {
     // next_at() is exact and non-mutating: the decision to STOP must not
     // cascade overflow buckets.  A sweep ending just short of a large
-    // far-future bucket (a standing set of armed timers, say) would
+    // far-future bucket (a standing set of fleet arrivals, say) would
     // otherwise redistribute it on every advance.
     const Time t = wheel_.next_at();
     if (t == TimerWheel<Task>::kNone) break;
     if (!drain_all && t > target) break;
     // pop() leaves the wheel consistent before the callback runs, so
-    // callbacks may schedule, arm, and cancel re-entrantly.
+    // callbacks may schedule re-entrantly.
     TimerWheel<Task>::Entry e = wheel_.pop();
     dispatch(e.at, e.key, e.payload, target, drain_all);
   }

@@ -12,9 +12,11 @@
 // pushes and pops millions of events — so it is built from the hot-path
 // primitives in task.h / timer_wheel.h: events hold a sim::Task (inline
 // capture storage, no per-event allocation) and live in a hierarchical
-// timing wheel with O(1) amortized schedule, O(1) handle cancellation,
-// and batched same-tick dispatch in (deadline, seq) FIFO order
-// (DESIGN.md §18).
+// timing wheel with O(1) amortized schedule and batched same-tick
+// dispatch in (deadline, seq) FIFO order (DESIGN.md §18).  A scheduled
+// event always fires; nothing cancels one.  Waits that end at a known
+// time (an RPC reply, a queued write's completion) advance the clock
+// instead of scheduling anything (sim::InflightWindow).
 #pragma once
 
 #include <cstdint>
@@ -33,17 +35,17 @@ class Tracer;
 namespace netstore::sim {
 
 /// Scheduling telemetry, exported as the sim.timer.* counters (src/obs).
-/// cascades counts entries the wheel re-filed out of overflow buckets.
+/// Every scheduled event fires exactly once, so fired <= scheduled, the
+/// difference being events still pending.  cascades counts entries the
+/// wheel re-filed out of overflow buckets.
 struct TimerStats {
-  Counter scheduled;  // schedule_* + arm_* + reschedule_* accepted
+  Counter scheduled;  // schedule_* accepted
   Counter fired;      // events dispatched
-  Counter cancelled;  // successful cancel_timer calls
   Counter cascades;   // entries re-filed by overflow-bucket cascades
 
   void reset() {
     scheduled.reset();
     fired.reset();
-    cancelled.reset();
     cascades.reset();
   }
 };
@@ -72,22 +74,6 @@ class Env {
   /// in the past.
   void schedule_after(Duration after, Task fn);
 
-  /// Cancellable timers: like schedule_*, but the returned handle can
-  /// disarm (cancel_timer) or move (reschedule_timer_at) the event in
-  /// O(1) before it fires — no pop-and-discard of dead events.  Protocol
-  /// retransmission timers must use these (lint rule raw-env-schedule).
-  [[nodiscard]] TimerHandle arm_timer_at(Time at, Task fn);
-  [[nodiscard]] TimerHandle arm_timer_after(Duration after, Task fn);
-
-  /// Disarms an armed timer; its payload is destroyed without running.
-  /// Returns false on a stale handle (already fired/cancelled/moved).
-  bool cancel_timer(TimerHandle h);
-
-  /// Moves an armed timer to a new deadline.  The old handle value is
-  /// invalidated; the returned handle replaces it, or is invalid if `h`
-  /// was stale.
-  [[nodiscard]] TimerHandle reschedule_timer_at(TimerHandle h, Time at);
-
   /// Advances the clock to `t`, firing every event whose deadline is <= t
   /// in deadline order.  Events may schedule further events; those also run
   /// if due.  No-op if `t` is in the past.
@@ -100,10 +86,10 @@ class Env {
   /// deadline.  Used at experiment teardown to quiesce daemons.
   void drain();
 
-  /// Number of live (not yet fired, not cancelled) events.
+  /// Number of pending (not yet fired) events.
   [[nodiscard]] std::size_t pending_events() const { return wheel_.size(); }
 
-  /// Deadline of the earliest live pending event, or kNoEvent when none.
+  /// Deadline of the earliest pending event, or kNoEvent when none.
   /// Shard bodies use this to report their next work time for
   /// epoch-horizon skipping (sharded_env.h), so it must be exact; the
   /// wheel reads its cached bucket minima.
@@ -153,8 +139,6 @@ class Env {
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
  private:
-  void check_deadline(Time at) const;
-
   /// Audit-mode dispatch bookkeeping (see set_audit).
   void audit_pop(Time at, std::uint64_t seq, Time target);
 

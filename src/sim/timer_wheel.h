@@ -43,12 +43,8 @@
 // minimum deadline, so no entry is skipped and each entry cascades at
 // most kLevels-1 times in its life (O(1) amortized).
 //
-// Cancellation is O(1) via handles: armed entries carry an index into a
-// generation-checked handle table recording their exact location (bucket
-// + index, or batch + index), patched whenever an entry moves.  cancel()
-// swap-removes from a bucket (rescanning the cached minimum only when
-// the removed entry held it) or erases from the batch; a fired or
-// cancelled handle's generation bumps, so stale handles fail safely.
+// Entries are fire-and-forget: nothing cancels or moves one once it is
+// pushed, so an entry's position never needs tracking.
 //
 // The wheel is a dumb container on purpose: no clock, no callbacks run
 // here.  sim::Env owns time, audit, and dispatch; core::Fleet reuses the
@@ -69,16 +65,6 @@
 
 namespace netstore::sim {
 
-/// Opaque reference to an armed timer.  Cheap value type; stale handles
-/// (already fired, cancelled, or rescheduled) are detected by generation
-/// and make cancel()/reschedule() return false rather than corrupt state.
-struct TimerHandle {
-  static constexpr std::uint32_t kInvalidId = 0xffffffffu;
-  std::uint32_t id = kInvalidId;
-  std::uint32_t gen = 0;
-  [[nodiscard]] bool valid() const { return id != kInvalidId; }
-};
-
 template <typename Payload>
 class TimerWheel {
  public:
@@ -89,7 +75,6 @@ class TimerWheel {
     Time at = 0;
     std::uint64_t key = 0;  // total-order tie-break among equal deadlines
     Payload payload{};
-    std::uint32_t handle = TimerHandle::kInvalidId;
   };
 
   TimerWheel() { occ_.fill(0); }
@@ -105,47 +90,11 @@ class TimerWheel {
   /// may be null).  Not part of the determinism contract across backends.
   void set_cascade_counter(Counter* c) { cascades_ = c; }
 
-  /// Fire-and-forget insert; `key` must be unique among pending entries
-  /// (the Env uses its event sequence number, the Fleet a client id).
+  /// Inserts an entry; `key` must be unique among pending entries (the
+  /// Env uses its event sequence number, the Fleet a client id).
   void push(Time at, std::uint64_t key, Payload payload) {
     ++size_;
-    attach(Entry{at, key, std::move(payload), TimerHandle::kInvalidId});
-  }
-
-  /// Cancellable insert.  The handle stays valid until the entry fires,
-  /// is cancelled, or is rescheduled (which returns a replacement).
-  [[nodiscard]] TimerHandle arm(Time at, std::uint64_t key, Payload payload) {
-    const std::uint32_t id = alloc_handle();
-    ++size_;
-    attach(Entry{at, key, std::move(payload), id});
-    return TimerHandle{id, handles_[id].gen};
-  }
-
-  /// O(1) removal.  Returns false (and does nothing) on a stale handle.
-  bool cancel(TimerHandle h) {
-    HandleRec* r = resolve(h);
-    if (r == nullptr) return false;
-    detach(*r);
-    --size_;
-    release_handle(h.id);
-    return true;
-  }
-
-  /// Moves an armed entry to a new deadline, keeping its payload.  The
-  /// old handle value is invalidated; the returned handle replaces it.
-  /// Returns an invalid handle if `h` was stale.
-  [[nodiscard]] TimerHandle reschedule(TimerHandle h, Time at,
-                                       std::uint64_t key) {
-    HandleRec* r = resolve(h);
-    if (r == nullptr) return TimerHandle{};
-    Entry e = detach(*r);
-    e.at = at;
-    e.key = key;
-    // Generation bump without freeing the id: the entry survives under a
-    // fresh handle, exactly as if cancelled and re-armed in one step.
-    ++r->gen;
-    attach(std::move(e));
-    return TimerHandle{h.id, r->gen};
+    attach(Entry{at, key, std::move(payload)});
   }
 
   /// Deadline of the next entry pop() would return, or kNone when empty.
@@ -157,7 +106,7 @@ class TimerWheel {
   }
 
   /// Removes and returns the earliest entry in (at, key) order.  The
-  /// wheel must not be empty.  Any handle the entry carried is released.
+  /// wheel must not be empty.
   Entry pop() {
     NETSTORE_CHECK_GT(size_, std::size_t{0}, "pop() from an empty wheel");
     if (batch_.empty()) refill_batch();
@@ -168,7 +117,6 @@ class TimerWheel {
       batch_.clear();
       batch_pos_ = 0;
     }
-    if (e.handle != TimerHandle::kInvalidId) release_handle(e.handle);
     return e;
   }
 
@@ -211,16 +159,6 @@ class TimerWheel {
     Time min_at = kNone;  // min true deadline over entries (not key)
   };
 
-  struct HandleRec {
-    std::uint32_t gen = 0;
-    bool live = false;
-    bool in_batch = false;
-    std::uint8_t level = 0;
-    std::uint8_t slot = 0;
-    std::uint32_t index = 0;      // into bucket entries / batch
-    std::uint32_t next_free = TimerHandle::kInvalidId;
-  };
-
   static bool entry_before(const Entry& a, const Entry& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.key < b.key;
@@ -244,9 +182,7 @@ class TimerWheel {
       // upper_bound position reproduces (deadline, seq) FIFO exactly.
       const auto it = std::upper_bound(batch_.begin() + batch_pos_,
                                        batch_.end(), e, entry_before);
-      const auto idx = static_cast<std::size_t>(it - batch_.begin());
       batch_.insert(it, std::move(e));
-      for (std::size_t i = idx; i < batch_.size(); ++i) locate_in_batch(i);
       return;
     }
     const Time k = e.at > cur_ ? e.at : cur_;
@@ -255,59 +191,6 @@ class TimerWheel {
     if (e.at < b.min_at) b.min_at = e.at;
     b.entries.push_back(std::move(e));
     occ_[level] |= std::uint64_t{1} << slot;
-    const Entry& stored = b.entries.back();
-    if (stored.handle != TimerHandle::kInvalidId) {
-      HandleRec& r = handles_[stored.handle];
-      r.in_batch = false;
-      r.level = static_cast<std::uint8_t>(level);
-      r.slot = static_cast<std::uint8_t>(slot);
-      r.index = static_cast<std::uint32_t>(b.entries.size() - 1);
-    }
-  }
-
-  /// Removes the entry `r` locates and returns it; bucket minimum and the
-  /// locations of any entries moved to fill the hole are kept current.
-  Entry detach(HandleRec& r) {
-    if (r.in_batch) {
-      NETSTORE_CHECK_GE(r.index, batch_pos_, "cancelling a fired batch entry");
-      Entry e = std::move(batch_[r.index]);
-      batch_.erase(batch_.begin() + r.index);
-      for (std::size_t i = r.index; i < batch_.size(); ++i) locate_in_batch(i);
-      if (batch_pos_ == batch_.size()) {
-        batch_.clear();
-        batch_pos_ = 0;
-      }
-      return e;
-    }
-    Bucket& b = buckets_[r.level][r.slot];
-    NETSTORE_CHECK_LT(static_cast<std::size_t>(r.index), b.entries.size(),
-                      "timer handle points outside its bucket");
-    Entry e = std::move(b.entries[r.index]);
-    if (static_cast<std::size_t>(r.index) + 1 != b.entries.size()) {
-      b.entries[r.index] = std::move(b.entries.back());
-      const Entry& moved = b.entries[r.index];
-      if (moved.handle != TimerHandle::kInvalidId) {
-        handles_[moved.handle].index = r.index;
-      }
-    }
-    b.entries.pop_back();
-    if (b.entries.empty()) {
-      occ_[r.level] &= ~(std::uint64_t{1} << r.slot);
-      b.min_at = kNone;
-    } else if (e.at <= b.min_at) {
-      b.min_at = kNone;
-      for (const Entry& rest : b.entries) {
-        if (rest.at < b.min_at) b.min_at = rest.at;
-      }
-    }
-    return e;
-  }
-
-  void locate_in_batch(std::size_t i) {
-    const std::uint32_t h = batch_[i].handle;
-    if (h == TimerHandle::kInvalidId) return;
-    handles_[h].in_batch = true;
-    handles_[h].index = static_cast<std::uint32_t>(i);
   }
 
   /// Detaches the argmin level-0 bucket as the next batch, cascading any
@@ -344,7 +227,6 @@ class TimerWheel {
           std::sort(batch_.begin(), batch_.end(), entry_before);
         }
         batch_pos_ = 0;
-        for (std::size_t i = 0; i < batch_.size(); ++i) locate_in_batch(i);
         return;
       }
       // Cascade: advance the cursor to this bucket's earliest deadline
@@ -359,33 +241,6 @@ class TimerWheel {
       if (cascades_ != nullptr) cascades_->add(spill_.size());
       for (Entry& e : spill_) attach(std::move(e));
     }
-  }
-
-  [[nodiscard]] std::uint32_t alloc_handle() {
-    std::uint32_t id = free_head_;
-    if (id != TimerHandle::kInvalidId) {
-      free_head_ = handles_[id].next_free;
-    } else {
-      id = static_cast<std::uint32_t>(handles_.size());
-      handles_.emplace_back();
-    }
-    handles_[id].live = true;
-    return id;
-  }
-
-  void release_handle(std::uint32_t id) {
-    HandleRec& r = handles_[id];
-    r.live = false;
-    ++r.gen;  // invalidates every outstanding TimerHandle for this slot
-    r.next_free = free_head_;
-    free_head_ = id;
-  }
-
-  [[nodiscard]] HandleRec* resolve(TimerHandle h) {
-    if (h.id >= handles_.size()) return nullptr;
-    HandleRec& r = handles_[h.id];
-    if (!r.live || r.gen != h.gen) return nullptr;
-    return &r;
   }
 
   Time cur_ = 0;  // never exceeds the smallest pending key
@@ -403,8 +258,6 @@ class TimerWheel {
   // Cascade scratch buffer, recycled across refills (see refill_batch).
   std::vector<Entry> spill_;
 
-  std::vector<HandleRec> handles_;
-  std::uint32_t free_head_ = TimerHandle::kInvalidId;
   Counter* cascades_ = nullptr;
 };
 

@@ -1,6 +1,9 @@
 // Unit tests for the network link model and RPC transport.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+
 #include "net/link.h"
 #include "rpc/rpc.h"
 
@@ -118,21 +121,58 @@ TEST(RpcTest, NoRetransmissionsOnLan) {
   EXPECT_EQ(rpc.stats().retransmissions.value(), 0u);
 }
 
-TEST(RpcTest, SpuriousRetransmissionsAtHighRtt) {
-  // The Linux idiosyncrasy behind Figure 6: RTT near/above the
-  // retransmission timer triggers duplicate requests although the reply
-  // is in flight.
-  sim::Env env;
-  net::LinkConfig lcfg;
-  lcfg.injected_rtt = sim::milliseconds(90);
-  Link link(env, lcfg);
+// The Linux idiosyncrasy behind Figure 6: RTT near/above the
+// retransmission timer triggers duplicate requests although the reply is
+// in flight.  Pins the closed form against the 70 ms timer: one duplicate
+// per elapsed timeout, capped at two by backoff; each duplicate costs one
+// request message and delays completion by retrans_penalty; and none of
+// it schedules an event.
+struct RetransCase {
+  std::int64_t rtt_ms;
+  std::uint64_t duplicates;
+};
+
+// Names each case by its RTT in the test list ("/90ms").
+void PrintTo(const RetransCase& c, std::ostream* os) {
+  *os << c.rtt_ms << "ms";
+}
+
+class RpcRetransTest : public ::testing::TestWithParam<RetransCase> {};
+
+TEST_P(RpcRetransTest, SpuriousRetransmissionsAtHighRtt) {
+  const RetransCase c = GetParam();
+  LinkConfig lcfg;
+  lcfg.injected_rtt = sim::milliseconds(c.rtt_ms);
   rpc::RpcConfig rcfg;
   rcfg.retrans_timeout = sim::milliseconds(70);
+  const auto serve = [](sim::Time t) { return t; };
+
+  // Reference: the same call with the retransmission timer off.
+  sim::Env ref_env;
+  Link ref_link(ref_env, lcfg);
+  rpc::RpcConfig no_timer = rcfg;
+  no_timer.retrans_timeout = 0;
+  rpc::RpcTransport(ref_env, ref_link, no_timer).call(100, 100, serve);
+
+  sim::Env env;
+  Link link(env, lcfg);
   rpc::RpcTransport rpc(env, link, rcfg);
-  rpc.call(100, 100, [](sim::Time t) { return t; });
-  EXPECT_GE(rpc.stats().retransmissions.value(), 1u);
-  EXPECT_GE(link.total_messages(), 3u);  // request + dup + reply
+  rpc.call(100, 100, serve);
+
+  EXPECT_EQ(rpc.stats().retransmissions.value(), c.duplicates);
+  // request + duplicates + reply
+  EXPECT_EQ(link.total_messages(), 2 + c.duplicates);
+  EXPECT_EQ(env.now(),
+            ref_env.now() + static_cast<sim::Duration>(c.duplicates) *
+                                rcfg.retrans_penalty);
+  EXPECT_EQ(env.pending_events(), 0u);
+  EXPECT_EQ(env.timer_stats().scheduled.value(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    InjectedRtt, RpcRetransTest,
+    ::testing::Values(RetransCase{90, 1}, RetransCase{150, 2},
+                      RetransCase{300, 2}));
 
 }  // namespace
 }  // namespace netstore
