@@ -48,6 +48,8 @@ std::unique_ptr<NfsClient> NfsClient::clone(sim::Env& env,
   copy->deleg_negative_ = deleg_negative_;
   copy->attrs_ = attrs_;
   copy->access_cache_ = access_cache_;
+  NETSTORE_CHECK_EQ(page_lru_.size(), pages_.size(),
+                    "page map and page LRU out of sync");
   copy->pages_.reserve(pages_.size());
   // Hash-map iteration order only affects the clone's internal layout;
   // eviction order is rebuilt exactly below.

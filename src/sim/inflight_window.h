@@ -19,6 +19,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/check.h"
 #include "sim/env.h"
 #include "sim/time.h"
 
@@ -30,6 +31,7 @@ class InflightWindow {
   /// completions already in the past, then, while the window is full,
   /// advances the clock to the earliest completion and retires it.
   void reserve(Env& env, std::size_t limit) {
+    NETSTORE_CHECK_GT(limit, std::size_t{0}, "in-flight window of size 0");
     while (!heap_.empty() && heap_.front() <= env.now()) pop();
     while (heap_.size() >= limit) {
       env.advance_to(heap_.front());

@@ -193,6 +193,14 @@ TEST(InflightWindowTest, FullWindowBlocksReapsPastAndDrainsToLatest) {
   EXPECT_EQ(w.size(), 0u);
 }
 
+TEST(InflightWindowDeathTest, ZeroSlotWindowDies) {
+  // A zero limit would spin on an empty window (write_pool_slots or
+  // queue_depth configured to 0).
+  Env env;
+  InflightWindow w;
+  EXPECT_DEATH(w.reserve(env, 0), "in-flight window of size 0");
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(123);
   Rng b(123);
