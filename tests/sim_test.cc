@@ -194,8 +194,8 @@ TEST(InflightWindowTest, FullWindowBlocksReapsPastAndDrainsToLatest) {
 }
 
 TEST(InflightWindowDeathTest, ZeroSlotWindowDies) {
-  // A zero limit would spin on an empty window (write_pool_slots or
-  // queue_depth configured to 0).
+  // A zero limit (write_pool_slots or queue_depth configured to 0) would
+  // advance to the front of an empty window.
   Env env;
   InflightWindow w;
   EXPECT_DEATH(w.reserve(env, 0), "in-flight window of size 0");
