@@ -58,9 +58,6 @@ class LocalBlockDevice final : public BlockDevice {
     return array_.read(env_.now(), lba, nblocks, out);
   }
 
-  /// Test hook: waits until the spindles are idle (full destage).
-  void drain_to_media() { env_.advance_to(last_write_done_); }
-
   /// Checkpoint/fork support: copies the controller state (NVRAM latency,
   /// destage cursor) from `src`.  The env/array references are fixed at
   /// construction, so the forking Testbed builds this device against the

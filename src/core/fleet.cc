@@ -55,21 +55,22 @@ Fleet::Fleet(std::vector<std::unique_ptr<Testbed>> worlds,
   }
 
   obs::MetricsRegistry& m = world().metrics();
-  ops_ = &m.counter("fleet.ops");
-  shared_ops_ = &m.counter("fleet.shared_ops");
-  forced_revals_ = &m.counter("fleet.forced_revalidations");
-  response_us_ = &m.sampler("fleet.response_us");
-  queue_delay_us_ = &m.sampler("fleet.queue_delay_us");
-  service_us_ = &m.sampler("fleet.service_us");
-  client_mean_us_ = &m.sampler("fleet.client_mean_us");
+  m.adopt_counter("fleet.ops", ops_);
+  m.adopt_counter("fleet.shared_ops", shared_ops_);
+  m.adopt_counter("fleet.forced_revalidations", forced_revals_);
+  m.adopt_sampler("fleet.response_us", response_us_);
+  m.adopt_sampler("fleet.queue_delay_us", queue_delay_us_);
+  m.adopt_sampler("fleet.service_us", service_us_);
+  m.adopt_sampler("fleet.client_mean_us", client_mean_us_);
   if (shards_.size() > 1) {
     // Shard-tagged telemetry, registered only for sharded fleets so a
     // shards=1 report stays byte-identical to the sequential engine's.
-    epochs_ctr_ = &m.counter("fleet.epochs");
-    xshard_msgs_ctr_ = &m.counter("fleet.xshard_messages");
+    m.adopt_counter("fleet.epochs", epochs_ctr_);
+    m.adopt_counter("fleet.xshard_messages", xshard_msgs_ctr_);
+    shard_ops_ctrs_.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shard_ops_ctrs_.push_back(
-          &m.counter("fleet.shard" + std::to_string(s) + ".ops"));
+      m.adopt_counter("fleet.shard" + std::to_string(s) + ".ops",
+                      shard_ops_ctrs_[s]);
     }
   }
 }
@@ -303,13 +304,13 @@ void Fleet::fold_stats() {
     shared += sh.shared_ops;
     revals += sh.forced_revals;
   }
-  ops_->add(ops);
-  shared_ops_->add(shared);
-  forced_revals_->add(revals);
+  ops_.add(ops);
+  shared_ops_.add(shared);
+  forced_revals_.add(revals);
   for (Shard& sh : shards_) {
-    response_us_->merge(sh.response_us);
-    queue_delay_us_->merge(sh.queue_delay_us);
-    service_us_->merge(sh.service_us);
+    response_us_.merge(sh.response_us);
+    queue_delay_us_.merge(sh.queue_delay_us);
+    service_us_.merge(sh.service_us);
     sh.response_us.reset();
     sh.queue_delay_us.reset();
     sh.service_us.reset();
@@ -317,25 +318,21 @@ void Fleet::fold_stats() {
     sh.shared_ops = 0;
     sh.forced_revals = 0;
   }
-  if (epochs_ctr_ != nullptr) {
-    epochs_ctr_->add(epochs_run_);
-    xshard_msgs_ctr_->add(xshard_msgs_run_);
-  }
-  if (!shard_ops_ctrs_.empty()) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shard_ops_ctrs_[s]->add(shards_[s].done);
-    }
+  epochs_ctr_.add(epochs_run_);
+  xshard_msgs_ctr_.add(xshard_msgs_run_);
+  for (std::size_t s = 0; s < shard_ops_ctrs_.size(); ++s) {
+    shard_ops_ctrs_[s].add(shards_[s].done);
   }
 
   // Fairness digest: each active client's mean response, in global id
   // order (identical to the sequential engine's iteration).
   const auto S = static_cast<std::uint64_t>(shards_.size());
-  client_mean_us_->reset();
+  client_mean_us_.reset();
   for (std::uint64_t g = 0; g < workload_.clients; ++g) {
     const Client& cl = shards_[g % S].clients[g / S];
     if (cl.ops > 0) {
-      client_mean_us_->record(cl.sum_response_us /
-                              static_cast<double>(cl.ops));
+      client_mean_us_.record(cl.sum_response_us /
+                             static_cast<double>(cl.ops));
     }
   }
 }
@@ -374,10 +371,10 @@ void Fleet::run(DriveMode mode) {
   fold_stats();
 }
 
-std::uint64_t Fleet::ops_completed() const { return ops_->value(); }
-std::uint64_t Fleet::shared_ops() const { return shared_ops_->value(); }
+std::uint64_t Fleet::ops_completed() const { return ops_.value(); }
+std::uint64_t Fleet::shared_ops() const { return shared_ops_.value(); }
 std::uint64_t Fleet::forced_revalidations() const {
-  return forced_revals_->value();
+  return forced_revals_.value();
 }
 std::uint64_t Fleet::epochs() const { return epochs_run_; }
 std::uint64_t Fleet::cross_shard_messages() const { return xshard_msgs_run_; }

@@ -75,8 +75,9 @@ class Fleet {
   };
 
   /// Takes ownership of a built (typically checkpoint-forked) world and
-  /// prepares `workload.clients` flyweight clients for it.  Registers the
-  /// fleet.* metrics in the world's registry.  workload.shards must be 1.
+  /// prepares `workload.clients` flyweight clients for it.  Adopts the
+  /// fleet.* metrics it owns into the world's registry.  workload.shards
+  /// must be 1.
   Fleet(std::unique_ptr<Testbed> world, WorkloadConfig workload);
   /// Sharded form: one world per reactor (all forks of the same image;
   /// see Checkpoint::fork_shards).  workload.shards must equal
@@ -164,7 +165,7 @@ class Fleet {
     std::uint64_t budget = 0;
     std::uint64_t done = 0;
 
-    // Shard-local accumulators, folded into the registry-owned fleet.*
+    // Shard-local accumulators, folded into the Fleet-owned fleet.*
     // metrics at end of run (Sampler::merge / Counter::add in shard
     // order — for one shard this reproduces the sequential recording
     // sequence exactly).
@@ -198,6 +199,25 @@ class Fleet {
 
   WorkloadConfig workload_;
   sim::ZipfSampler zipf_;
+
+  // The fleet.* metrics, adopted into the primary world's registry.
+  // Declared before shards_ so the worlds, and their registries, are
+  // destroyed first.
+  sim::Counter ops_;
+  sim::Counter shared_ops_;
+  sim::Counter forced_revals_;
+  sim::Sampler response_us_;
+  sim::Sampler queue_delay_us_;
+  sim::Sampler service_us_;
+  sim::Sampler client_mean_us_;
+  // Adopted by sharded fleets only (absent from sequential registries so
+  // shards=1 output stays byte-identical to the pre-sharding engine):
+  // epoch and mailbox telemetry plus per-reactor op counts.  The shard
+  // vector is sized once, before adoption, and never reallocates.
+  sim::Counter epochs_ctr_;
+  sim::Counter xshard_msgs_ctr_;
+  std::vector<sim::Counter> shard_ops_ctrs_;
+
   std::vector<Shard> shards_;
 
   bool setup_done_ = false;
@@ -207,21 +227,6 @@ class Fleet {
   sim::Duration lookahead_ = 0;
   std::uint64_t epochs_run_ = 0;
   std::uint64_t xshard_msgs_run_ = 0;
-
-  // Owned by the primary world's MetricsRegistry; cached for fold_stats.
-  sim::Counter* ops_ = nullptr;
-  sim::Counter* shared_ops_ = nullptr;
-  sim::Counter* forced_revals_ = nullptr;
-  sim::Sampler* response_us_ = nullptr;
-  sim::Sampler* queue_delay_us_ = nullptr;
-  sim::Sampler* service_us_ = nullptr;
-  sim::Sampler* client_mean_us_ = nullptr;
-  // Sharded runs only (absent from sequential registries so shards=1
-  // output stays byte-identical to the pre-sharding engine): epoch and
-  // mailbox telemetry plus per-reactor op counts.
-  sim::Counter* epochs_ctr_ = nullptr;
-  sim::Counter* xshard_msgs_ctr_ = nullptr;
-  std::vector<sim::Counter*> shard_ops_ctrs_;
 };
 
 }  // namespace netstore::core

@@ -12,29 +12,28 @@ namespace netstore::core {
 /// The one vfs::Instrumentation the testbed installs: opens/closes a trace
 /// span around every syscall and charges the per-call client CPU cost
 /// (clock advance via Vfs::ScopedSyscall, CPU window + trace attribution
-/// here).  vfs::Syscall and obs::Op enumerate the same classes in the same
-/// order, so the mapping is a cast.
+/// here).  The syscall kind is the span's obs::Op request class.
 class Testbed::ClientInstr final : public vfs::Instrumentation {
  public:
   using CostFn =
-      std::function<sim::Duration(sim::Time, vfs::Syscall, std::uint32_t)>;
+      std::function<sim::Duration(sim::Time, obs::Op, std::uint32_t)>;
 
   ClientInstr(obs::Tracer& tracer, CostFn cost)
       : tracer_(tracer), cost_(std::move(cost)) {}
 
-  sim::Duration syscall_cost(sim::Time at, vfs::Syscall kind,
+  sim::Duration syscall_cost(sim::Time at, obs::Op kind,
                              std::uint32_t bytes) override {
     const sim::Duration d = cost_(at, kind, bytes);
     tracer_.charge(obs::Component::kCpu, d);
     return d;
   }
 
-  void syscall_enter(sim::Time at, vfs::Syscall kind,
+  void syscall_enter(sim::Time at, obs::Op kind,
                      std::uint32_t /*bytes*/) override {
-    spans_.push_back(tracer_.begin(static_cast<obs::Op>(kind), at));
+    spans_.push_back(tracer_.begin(kind, at));
   }
 
-  void syscall_exit(sim::Time at, vfs::Syscall /*kind*/) override {
+  void syscall_exit(sim::Time at, obs::Op /*kind*/) override {
     NETSTORE_CHECK(!spans_.empty(), "syscall_exit without matching enter");
     tracer_.end(spans_.back(), at);
     spans_.pop_back();
@@ -70,8 +69,7 @@ Testbed::Testbed(Protocol protocol, TestbedConfig config)
       server_cpu_(config.system.cpu_sample_period),
       client_cpu_(config.system.cpu_sample_period) {
   env_.set_audit(config_.system.invariant_audits);
-  // Observability first: components built below may cache env pointers.
-  env_.set_metrics(&metrics_);
+  // Tracer first: components built below may cache env pointers.
   env_.set_tracer(&tracer_);
   link_ = std::make_unique<net::Link>(env_, config_.system.link);
   // Size the array to hold the requested volume.
@@ -128,7 +126,6 @@ Testbed::Testbed(const Testbed& src, ForkTag)
                     "fork() requires a quiesced testbed — call quiesce()");
   env_.clone_from(src.env_);
   env_.set_audit(config_.system.invariant_audits);
-  env_.set_metrics(&metrics_);
   env_.set_tracer(&tracer_);
   tracer_.clone_from(src.tracer_);
 
@@ -198,7 +195,7 @@ void Testbed::install_iscsi_cost_hooks() {
 void Testbed::wire_local_vfs() {
   auto local = std::make_unique<vfs::LocalVfs>(env_, *client_fs_);
   instr_ = std::make_unique<ClientInstr>(
-      tracer_, [this](sim::Time at, vfs::Syscall, std::uint32_t bytes) {
+      tracer_, [this](sim::Time at, obs::Op, std::uint32_t bytes) {
         const sim::Duration d =
             config_.system.cpu.client_fs_syscall +
             config_.system.cpu.client_per_page *
@@ -290,7 +287,7 @@ void Testbed::install_nfs_cost_hooks() {
 void Testbed::wire_nfs_vfs() {
   auto v = std::make_unique<vfs::NfsVfs>(env_, *nfs_client_);
   instr_ = std::make_unique<ClientInstr>(
-      tracer_, [this](sim::Time at, vfs::Syscall, std::uint32_t bytes) {
+      tracer_, [this](sim::Time at, obs::Op, std::uint32_t bytes) {
         const sim::Duration d =
             config_.system.cpu.client_nfs_syscall +
             config_.system.cpu.client_per_page *

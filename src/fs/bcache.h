@@ -48,9 +48,6 @@ class Bcache {
   /// Marks `lba` dirty and pins it (journal will checkpoint it later).
   void mark_dirty(block::Lba lba);
 
-  [[nodiscard]] bool is_cached(block::Lba lba) const {
-    return map_.contains(lba);
-  }
   [[nodiscard]] bool is_dirty(block::Lba lba) const;
 
   /// Writes a dirty block in place on the device and clears its dirty bit.

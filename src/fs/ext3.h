@@ -193,7 +193,6 @@ class Ext3Fs {
                         std::uint32_t)>
           visit);
 
-  void touch_ctime(Ino ino, RawInode& ri);
   void do_readahead(Ino ino, RawInode& ri, std::uint64_t index);
 
   Status remove_common(Ino dir, const std::string& name, bool want_dir);

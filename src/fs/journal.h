@@ -67,9 +67,6 @@ class Journal {
   [[nodiscard]] bool transaction_open() const { return !running_.empty(); }
   [[nodiscard]] std::size_t running_size() const { return running_.size(); }
 
-  /// True while a timed commit is scheduled (test hook).
-  [[nodiscard]] bool commit_pending() const { return commit_scheduled_; }
-
   /// Stops scheduling further timed commits (unmount).
   void stop() { stopped_ = true; }
 

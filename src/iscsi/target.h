@@ -17,7 +17,6 @@
 #include "block/timed_cache.h"
 #include "core/check.h"
 #include "scsi/scsi.h"
-#include "sim/stats.h"
 #include "sim/time.h"
 
 namespace netstore::iscsi {
@@ -48,9 +47,6 @@ class Target {
   void set_cost_hook(TargetCostHook hook) { cost_hook_ = std::move(hook); }
 
   [[nodiscard]] std::uint64_t volume_blocks() const { return volume_blocks_; }
-  [[nodiscard]] std::uint64_t commands_served() const {
-    return commands_.value();
-  }
 
   /// Exclusive LUN ownership.  A session claims its LUN at login and
   /// releases it at logout; claiming a LUN another session holds is a
@@ -64,9 +60,6 @@ class Target {
                    "LUN already owned by another session");
   }
   void release_lun(std::uint32_t lun) { claimed_luns_.erase(lun); }
-  [[nodiscard]] bool lun_claimed(std::uint32_t lun) const {
-    return claimed_luns_.contains(lun);
-  }
 
   /// Orderly restart (cold-cache emulation): flush and drop the cache.
   void restart() { cache_.restart(); }
@@ -81,7 +74,6 @@ class Target {
   /// and is deliberately NOT copied — the forking Testbed installs its own.
   [[nodiscard]] std::unique_ptr<Target> clone(block::TimedCache& cache) const {
     auto copy = std::make_unique<Target>(cache, volume_blocks_);
-    copy->commands_ = commands_;
     copy->claimed_luns_ = claimed_luns_;
     return copy;
   }
@@ -98,7 +90,6 @@ class Target {
   // netstore: not_cloned -- closure over the source Testbed; the fork
   // installs its own (see clone())
   TargetCostHook cost_hook_;
-  sim::Counter commands_;
   std::unordered_set<std::uint32_t> claimed_luns_;
 };
 

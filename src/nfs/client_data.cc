@@ -77,13 +77,20 @@ void NfsClient::drop_pages(Fh fh) {
 }
 
 void NfsClient::evict_pages_if_needed() {
-  // The NFS page cache is write-through (every write is already an RPC in
-  // flight), so eviction never loses data.
-  while (pages_.size() >= config_.page_cache_capacity && !page_lru_.empty()) {
-    Page* victim = page_lru_.back();
-    page_lru_.unlink(victim);
-    const PageKey key = victim->key;  // copy: erase destroys the node
-    pages_.erase(key);
+  // Pages of server handles are write-through (every write is already an
+  // RPC in flight), so evicting one never loses data.  Pages of a
+  // provisional handle exist only here until ship_local_data sends them,
+  // so they are never evicted: while only they remain, the cache exceeds
+  // its capacity until the next delegation flush ships them.
+  Page* victim = page_lru_.back();
+  while (pages_.size() >= config_.page_cache_capacity && victim != nullptr) {
+    Page* next = core::LruList<Page>::warmer(victim);
+    if (!is_provisional(victim->key.fh)) {
+      page_lru_.unlink(victim);
+      const PageKey key = victim->key;  // copy: erase destroys the node
+      pages_.erase(key);
+    }
+    victim = next;
   }
 }
 

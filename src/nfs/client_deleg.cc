@@ -283,12 +283,10 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
     i += run;
   }
 
-  // Re-key the pages so later reads hit the real handle.
-  std::vector<std::pair<std::uint64_t, Page*>> moved = file_pages;
-  for (auto& [index, page] : moved) {
-    // Copy the handle first: insert_page_ref may evict the source page.
-    core::BufRef data = page->data;
-    insert_page_ref(real, index, std::move(data), env_.now());
+  // Re-key the pages so later reads hit the real handle.  Eviction never
+  // removes a provisional page, so every collected Page* stays valid.
+  for (auto& [index, page] : file_pages) {
+    insert_page_ref(real, index, page->data, env_.now());
   }
   drop_pages(provisional);
 }

@@ -1,99 +1,33 @@
 #include "obs/metrics.h"
 
-#include <limits>
-
 #include "core/check.h"
 
 namespace netstore::obs {
 
-void MetricsRegistry::check_fresh(const std::string& key) const {
+void MetricsRegistry::adopt(const std::string& key, Metric m) {
   NETSTORE_CHECK(!key.empty(), "metric key must not be empty");
-  NETSTORE_CHECK(metrics_.count(key) == 0,
+  NETSTORE_CHECK(metrics_.emplace(key, m).second,
                  ("duplicate metric key: " + key).c_str());
 }
 
-sim::Counter& MetricsRegistry::counter(const std::string& key) {
-  auto it = metrics_.find(key);
-  if (it != metrics_.end()) {
-    NETSTORE_CHECK(it->second.kind == MetricValue::Kind::kCounter,
-                   ("metric key reused as a different kind: " + key).c_str());
-    return *it->second.counter;
-  }
-  Metric m;
-  m.kind = MetricValue::Kind::kCounter;
-  m.owned_counter = std::make_unique<sim::Counter>();
-  m.counter = m.owned_counter.get();
-  return *metrics_.emplace(key, std::move(m)).first->second.counter;
-}
-
-sim::Sampler& MetricsRegistry::sampler(const std::string& key) {
-  auto it = metrics_.find(key);
-  if (it != metrics_.end()) {
-    NETSTORE_CHECK(it->second.kind == MetricValue::Kind::kSampler,
-                   ("metric key reused as a different kind: " + key).c_str());
-    return *it->second.sampler;
-  }
-  Metric m;
-  m.kind = MetricValue::Kind::kSampler;
-  m.owned_sampler = std::make_unique<sim::Sampler>();
-  m.sampler = m.owned_sampler.get();
-  return *metrics_.emplace(key, std::move(m)).first->second.sampler;
-}
-
-sim::Histogram& MetricsRegistry::histogram(const std::string& key,
-                                           std::vector<double> bounds) {
-  auto it = metrics_.find(key);
-  if (it != metrics_.end()) {
-    NETSTORE_CHECK(it->second.kind == MetricValue::Kind::kHistogram,
-                   ("metric key reused as a different kind: " + key).c_str());
-    return *it->second.owned_histogram;
-  }
-  Metric m;
-  m.kind = MetricValue::Kind::kHistogram;
-  m.owned_histogram = std::make_unique<sim::Histogram>(std::move(bounds));
-  return *metrics_.emplace(key, std::move(m)).first->second.owned_histogram;
-}
-
 void MetricsRegistry::adopt_counter(const std::string& key, sim::Counter& c) {
-  check_fresh(key);
-  Metric m;
-  m.kind = MetricValue::Kind::kCounter;
-  m.counter = &c;
-  metrics_.emplace(key, std::move(m));
+  adopt(key, Metric{&c, nullptr});
 }
 
 void MetricsRegistry::adopt_sampler(const std::string& key, sim::Sampler& s) {
-  check_fresh(key);
-  Metric m;
-  m.kind = MetricValue::Kind::kSampler;
-  m.sampler = &s;
-  metrics_.emplace(key, std::move(m));
+  adopt(key, Metric{nullptr, &s});
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   Snapshot out;
   for (const auto& [key, m] : metrics_) {
     MetricValue v;
-    v.kind = m.kind;
-    switch (m.kind) {
-      case MetricValue::Kind::kCounter:
-        v.count = m.counter->value();
-        break;
-      case MetricValue::Kind::kSampler:
-        v.count = m.sampler->count();
-        v.summary = m.sampler->summary();
-        break;
-      case MetricValue::Kind::kHistogram: {
-        const sim::Histogram& h = *m.owned_histogram;
-        v.count = h.total();
-        for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-          const double bound = i < h.bounds().size()
-                                   ? h.bounds()[i]
-                                   : std::numeric_limits<double>::infinity();
-          v.buckets.emplace_back(bound, h.bucket(i));
-        }
-        break;
-      }
+    if (m.counter != nullptr) {
+      v.count = m.counter->value();
+    } else {
+      v.kind = MetricValue::Kind::kSampler;
+      v.count = m.sampler->count();
+      v.summary = m.sampler->summary();
     }
     out.emplace(key, std::move(v));
   }
@@ -109,21 +43,11 @@ MetricsRegistry::Snapshot MetricsRegistry::diff(const Snapshot& newer,
     if (it != older.end()) {
       NETSTORE_CHECK(it->second.kind == nv.kind,
                      "snapshot diff: metric kind changed between snapshots");
-      switch (nv.kind) {
-        case MetricValue::Kind::kCounter:
-          NETSTORE_CHECK_GE(nv.count, it->second.count,
-                            "snapshot diff: counter went backwards");
-          v.count = nv.count - it->second.count;
-          break;
-        case MetricValue::Kind::kHistogram:
-          v.count = nv.count - it->second.count;
-          for (std::size_t i = 0;
-               i < v.buckets.size() && i < it->second.buckets.size(); ++i) {
-            v.buckets[i].second -= it->second.buckets[i].second;
-          }
-          break;
-        case MetricValue::Kind::kSampler:
-          break;  // samples are not invertible; keep the newer summary
+      // Samples are not invertible; a sampler keeps the newer summary.
+      if (nv.kind == MetricValue::Kind::kCounter) {
+        NETSTORE_CHECK_GE(nv.count, it->second.count,
+                          "snapshot diff: counter went backwards");
+        v.count = nv.count - it->second.count;
       }
     }
     out.emplace(key, std::move(v));
@@ -133,16 +57,10 @@ MetricsRegistry::Snapshot MetricsRegistry::diff(const Snapshot& newer,
 
 void MetricsRegistry::reset() {
   for (auto& [key, m] : metrics_) {
-    switch (m.kind) {
-      case MetricValue::Kind::kCounter:
-        m.counter->reset();
-        break;
-      case MetricValue::Kind::kSampler:
-        m.sampler->reset();
-        break;
-      case MetricValue::Kind::kHistogram:
-        m.owned_histogram->reset();
-        break;
+    if (m.counter != nullptr) {
+      m.counter->reset();
+    } else {
+      m.sampler->reset();
     }
   }
 }

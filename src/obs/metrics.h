@@ -1,22 +1,17 @@
 // MetricsRegistry: the single naming authority for every measurement the
 // testbed exposes.
 //
-// Every counter, sampler and histogram is reachable under a hierarchical,
+// Every counter and sampler is reachable under a hierarchical,
 // dot-separated key ("link.c2s.bytes", "rpc.calls",
 // "trace.component.media_us"), replacing the per-class getter sprawl the
-// paper-table benches used to navigate.  The registry supports two
-// registration styles:
-//
-//   * owned metrics   — created on first use via counter()/sampler()/
-//                       histogram(); the registry owns storage.
-//   * adopted metrics — existing component members (link traffic counters,
-//                       cache hit counters, ...) registered by reference so
-//                       legacy ownership stays put while snapshots see one
-//                       coherent namespace.
+// paper-table benches used to navigate.  Components own their metrics as
+// plain members (link traffic counters, cache hit counters, Fleet totals,
+// ...) and adopt them here by reference; the registry only names them and
+// never owns storage, so every adopted metric must outlive the registry.
 //
 // A key names exactly one metric of exactly one kind for the lifetime of
-// the registry; re-registering a key (or reusing it as another kind) is a
-// NETSTORE_CHECK failure, not a silent aliasing bug.
+// the registry; adopting a key twice (as either kind) is a NETSTORE_CHECK
+// failure, not a silent aliasing bug.
 //
 // snapshot() renders the whole namespace into an ordered, value-only map;
 // diff() subtracts two snapshots counter-wise.  Both are deterministic:
@@ -25,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,15 +29,15 @@ namespace netstore::obs {
 
 /// Value of one metric at snapshot time.
 struct MetricValue {
-  enum class Kind { kCounter, kSampler, kHistogram };
+  enum class Kind { kCounter, kSampler };
 
   Kind kind = Kind::kCounter;
-  // kCounter: the count.  kHistogram: total records.  kSampler: count.
+  // kCounter: the count.  kSampler: the number of samples.
   std::uint64_t count = 0;
   // kSampler only.
   sim::Sampler::Summary summary;
-  // kHistogram only: (upper bound, count) per bucket; the final entry is
-  // the overflow bucket with an infinite bound.
+  // Always empty: no metric kind has buckets.  Kept because the
+  // end-to-end benchmark driver (perfbench/) iterates it.
   std::vector<std::pair<double, std::uint64_t>> buckets;
 };
 
@@ -55,13 +49,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // --- owned metrics (created on first use) ---------------------------
-  sim::Counter& counter(const std::string& key);
-  sim::Sampler& sampler(const std::string& key);
-  sim::Histogram& histogram(const std::string& key,
-                            std::vector<double> bounds);
-
-  // --- adopted metrics (component-owned storage) ----------------------
   void adopt_counter(const std::string& key, sim::Counter& c);
   void adopt_sampler(const std::string& key, sim::Sampler& s);
 
@@ -74,28 +61,24 @@ class MetricsRegistry {
   /// Values of every metric, ordered by key.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Counter-wise difference `newer - older`: counters and histogram
-  /// bucket counts subtract; sampler values are taken from `newer`
-  /// unchanged (samples are not invertible).  Keys present only in
-  /// `newer` pass through; keys present only in `older` are dropped.
+  /// Counter-wise difference `newer - older`: counters subtract; sampler
+  /// values are taken from `newer` unchanged (samples are not
+  /// invertible).  Keys present only in `newer` pass through; keys
+  /// present only in `older` are dropped.
   [[nodiscard]] static Snapshot diff(const Snapshot& newer,
                                      const Snapshot& older);
 
-  /// Resets every metric, owned and adopted.
+  /// Resets every adopted metric.
   void reset();
 
  private:
   struct Metric {
-    MetricValue::Kind kind;
-    // Exactly one of these is non-null; owned_* also keeps storage alive.
+    // Exactly one of these is non-null.
     sim::Counter* counter = nullptr;
     sim::Sampler* sampler = nullptr;
-    std::unique_ptr<sim::Counter> owned_counter;
-    std::unique_ptr<sim::Sampler> owned_sampler;
-    std::unique_ptr<sim::Histogram> owned_histogram;
   };
 
-  void check_fresh(const std::string& key) const;
+  void adopt(const std::string& key, Metric m);
 
   std::map<std::string, Metric> metrics_;
 };

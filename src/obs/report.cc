@@ -133,23 +133,6 @@ void metric_json(std::ostringstream& os, const MetricValue& v) {
          << ",\"p99\":" << format_double(v.summary.p99)
          << ",\"p999\":" << format_double(v.summary.p999) << "}";
       break;
-    case MetricValue::Kind::kHistogram: {
-      os << "{\"kind\":\"histogram\",\"total\":" << v.count << ",\"buckets\":[";
-      bool first = true;
-      for (const auto& [bound, count] : v.buckets) {
-        if (!first) os << ",";
-        first = false;
-        os << "[";
-        if (std::isinf(bound)) {
-          os << "\"+inf\"";
-        } else {
-          os << format_double(bound);
-        }
-        os << "," << count << "]";
-      }
-      os << "]}";
-      break;
-    }
   }
 }
 
@@ -221,10 +204,8 @@ std::string Report::csv() const {
     os << "# snapshot," << label << "\n";
     os << "key,kind,count,mean,min,max,p50,p95,p99,p999\n";
     for (const auto& [key, v] : snap) {
-      const char* kind = v.kind == MetricValue::Kind::kCounter ? "counter"
-                         : v.kind == MetricValue::Kind::kSampler
-                             ? "sampler"
-                             : "histogram";
+      const char* kind =
+          v.kind == MetricValue::Kind::kCounter ? "counter" : "sampler";
       os << key << "," << kind << "," << v.count;
       if (v.kind == MetricValue::Kind::kSampler) {
         os << "," << format_double(v.summary.mean) << ","

@@ -50,7 +50,8 @@ inline constexpr std::size_t kComponentCount = 5;
 
 [[nodiscard]] const char* to_string(Component c);
 
-/// Request classes, mirroring vfs::Syscall.
+/// Request classes: every traced request is one VFS syscall, and the
+/// syscall surface (vfs::Instrumentation) uses this enum as its kind.
 enum class Op : std::uint8_t {
   kMeta = 0,
   kRead = 1,

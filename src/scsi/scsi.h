@@ -47,22 +47,6 @@ struct Cdb {
   static Cdb write10(block::Lba lba, std::uint32_t nblocks) {
     return Cdb{OpCode::kWrite10, lba, nblocks};
   }
-  static Cdb synchronize_cache() {
-    return Cdb{OpCode::kSynchronizeCache10, 0, 0};
-  }
-
-  /// Encoded CDB length in bytes (10-byte CDBs for the block commands).
-  [[nodiscard]] std::uint32_t encoded_size() const {
-    switch (op) {
-      case OpCode::kTestUnitReady:
-      case OpCode::kInquiry:
-        return 6;
-      case OpCode::kReportLuns:
-        return 12;
-      default:
-        return 10;
-    }
-  }
 };
 
 /// Command result: status plus sense information on CHECK CONDITION.

@@ -28,7 +28,6 @@
 #include "sim/timer_wheel.h"
 
 namespace netstore::obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace netstore::obs
 
@@ -118,9 +117,9 @@ class Env {
   /// (checkpoint/fork support).  Both wheels must be empty — events hold
   /// type-erased callables that capture pointers into the source world
   /// and cannot be rewired, which is why fork() only exists for quiesced
-  /// testbeds.  The observability pointers and audit flag are
-  /// deliberately NOT copied: they belong to the new owner and are wired
-  /// up by the forking Testbed.
+  /// testbeds.  The tracer pointer and audit flag are deliberately NOT
+  /// copied: they belong to the new owner and are wired up by the forking
+  /// Testbed.
   void clone_from(const Env& src);
 
   /// Scheduling telemetry; adopted into the registry as sim.timer.* by
@@ -128,13 +127,11 @@ class Env {
   [[nodiscard]] const TimerStats& timer_stats() const { return timer_stats_; }
   [[nodiscard]] TimerStats& mutable_timer_stats() { return timer_stats_; }
 
-  /// Observability wiring (owned by the Testbed, see src/obs).  Null when
-  /// a component is driven standalone; every instrumentation site must
+  /// Tracer wiring (owned by the Testbed, see src/obs).  Null when a
+  /// component is driven standalone; every instrumentation site must
   /// null-check.  The Env suspends the tracer around deferred-event
   /// dispatch so daemon work (journal commits, page flushes) never bills
   /// the request that happens to be advancing the clock.
-  void set_metrics(obs::MetricsRegistry* m) { metrics_ = m; }
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
   void set_tracer(obs::Tracer* t) { tracer_ = t; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
@@ -150,12 +147,12 @@ class Env {
                 bool drain_all);
 
   Time now_ = 0;
-  // netstore: not_cloned -- observers and config, not simulated state:
-  // Testbed::clone_from re-installs its own registry/tracer and re-derives
-  // audit_ from config right after Env::clone_from returns
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;  // netstore: not_cloned -- see metrics_
-  bool audit_ = false;             // netstore: not_cloned -- see metrics_
+  // netstore: not_cloned -- observer, not simulated state:
+  // Testbed::clone_from re-installs its own tracer right after
+  // Env::clone_from returns
+  obs::Tracer* tracer_ = nullptr;
+  // netstore: not_cloned -- config, re-derived by Testbed::clone_from
+  bool audit_ = false;
   bool audit_has_last_pop_ = false;
   Time audit_last_pop_at_ = 0;
   std::uint64_t audit_last_pop_seq_ = 0;

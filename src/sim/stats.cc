@@ -57,32 +57,4 @@ Sampler::Summary Sampler::summary() const {
   return s;
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  NETSTORE_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
-                 "histogram bounds must ascend");
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::record(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
-  total_++;
-}
-
-void Histogram::merge(const Histogram& other) {
-  // Bit-exact bound identity, not tolerance: merge partners are clones of
-  // one metric definition, so anything else is a wiring bug.
-  NETSTORE_CHECK(bounds_.size() == other.bounds_.size() &&
-                     std::equal(bounds_.begin(), bounds_.end(),
-                                other.bounds_.begin()),
-                 "Histogram::merge: bucket bounds differ");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
 }  // namespace netstore::sim

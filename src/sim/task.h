@@ -88,9 +88,6 @@ class Task {
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
-  /// True if this task's capture lives in the heap fallback box.
-  [[nodiscard]] bool on_heap() const { return ops_ != nullptr && ops_->heap; }
-
   /// Process-wide construction counters (relaxed atomics: the parallel
   /// scenario runner constructs tasks from many worker threads).  Absolute
   /// values accumulate for the process lifetime — report deltas.
@@ -112,7 +109,6 @@ class Task {
     /// an indirect call.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* p);
-    bool heap;
   };
 
   /// `ops_` must already be copied from `other` and non-null.
@@ -138,7 +134,6 @@ class Task {
               s->~Fn();
             },
       [](void* p) { std::launder(static_cast<Fn*>(p))->~Fn(); },
-      /*heap=*/false,
   };
 
   template <typename Fn>
@@ -146,7 +141,6 @@ class Task {
       [](void* p) { (**std::launder(static_cast<Fn**>(p)))(); },
       /*relocate=*/nullptr,  // moving the box is a pointer copy
       [](void* p) { delete *std::launder(static_cast<Fn**>(p)); },
-      /*heap=*/true,
   };
 
   void reset() {

@@ -97,14 +97,6 @@ class TimerWheel {
     attach(Entry{at, key, std::move(payload)});
   }
 
-  /// Deadline of the next entry pop() would return, or kNone when empty.
-  /// May cascade overflow buckets to line up the next batch.
-  [[nodiscard]] Time peek_at() {
-    if (size_ == 0) return kNone;
-    if (batch_.empty()) refill_batch();
-    return batch_[batch_pos_].at;
-  }
-
   /// Removes and returns the earliest entry in (at, key) order.  The
   /// wheel must not be empty.
   Entry pop() {

@@ -3,7 +3,7 @@
 namespace netstore::vfs {
 
 fs::Status LocalVfs::mkdir(const std::string& path, std::uint16_t perm) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   std::string leaf;
   fs::Result<fs::Ino> parent = fs_.resolve_parent(path, leaf);
   if (!parent) return parent.error();
@@ -12,7 +12,7 @@ fs::Status LocalVfs::mkdir(const std::string& path, std::uint16_t perm) {
 }
 
 fs::Status LocalVfs::chdir(const std::string& path) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   fs::Result<fs::Attr> a = fs_.getattr(*ino);
@@ -23,7 +23,7 @@ fs::Status LocalVfs::chdir(const std::string& path) {
 
 fs::Result<std::vector<fs::DirEntry>> LocalVfs::readdir(
     const std::string& path) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   return fs_.readdir(*ino);
@@ -31,7 +31,7 @@ fs::Result<std::vector<fs::DirEntry>> LocalVfs::readdir(
 
 fs::Status LocalVfs::symlink(const std::string& target,
                              const std::string& linkpath) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   std::string leaf;
   fs::Result<fs::Ino> parent = fs_.resolve_parent(linkpath, leaf);
   if (!parent) return parent.error();
@@ -40,14 +40,14 @@ fs::Status LocalVfs::symlink(const std::string& target,
 }
 
 fs::Result<std::string> LocalVfs::readlink(const std::string& path) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path, /*follow_last=*/false);
   if (!ino) return ino.error();
   return fs_.readlink(*ino);
 }
 
 fs::Status LocalVfs::unlink(const std::string& path) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   std::string leaf;
   fs::Result<fs::Ino> parent = fs_.resolve_parent(path, leaf);
   if (!parent) return parent.error();
@@ -55,7 +55,7 @@ fs::Status LocalVfs::unlink(const std::string& path) {
 }
 
 fs::Status LocalVfs::rmdir(const std::string& path) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   std::string leaf;
   fs::Result<fs::Ino> parent = fs_.resolve_parent(path, leaf);
   if (!parent) return parent.error();
@@ -63,7 +63,7 @@ fs::Status LocalVfs::rmdir(const std::string& path) {
 }
 
 fs::Result<Fd> LocalVfs::creat(const std::string& path, std::uint16_t perm) {
-  ScopedSyscall scoped(*this, env_, Syscall::kOpen, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kOpen, 0);
   std::string leaf;
   fs::Result<fs::Ino> parent = fs_.resolve_parent(path, leaf);
   if (!parent) return parent.error();
@@ -80,20 +80,20 @@ fs::Result<Fd> LocalVfs::creat(const std::string& path, std::uint16_t perm) {
 }
 
 fs::Result<Fd> LocalVfs::open(const std::string& path) {
-  ScopedSyscall scoped(*this, env_, Syscall::kOpen, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kOpen, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   return static_cast<Fd>(*ino);
 }
 
 fs::Status LocalVfs::close(Fd) {
-  ScopedSyscall scoped(*this, env_, Syscall::kClose, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kClose, 0);
   return fs::Status::Ok();
 }
 
 fs::Status LocalVfs::link(const std::string& existing,
                           const std::string& linkpath) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> target = fs_.resolve(existing);
   if (!target) return target.error();
   std::string leaf;
@@ -103,7 +103,7 @@ fs::Status LocalVfs::link(const std::string& existing,
 }
 
 fs::Status LocalVfs::rename(const std::string& from, const std::string& to) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   std::string sleaf;
   fs::Result<fs::Ino> sdir = fs_.resolve_parent(from, sleaf);
   if (!sdir) return sdir.error();
@@ -114,7 +114,7 @@ fs::Status LocalVfs::rename(const std::string& from, const std::string& to) {
 }
 
 fs::Status LocalVfs::truncate(const std::string& path, std::uint64_t size) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   fs::SetAttr sa;
@@ -123,7 +123,7 @@ fs::Status LocalVfs::truncate(const std::string& path, std::uint64_t size) {
 }
 
 fs::Status LocalVfs::chmod(const std::string& path, std::uint16_t perm) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   fs::SetAttr sa;
@@ -133,7 +133,7 @@ fs::Status LocalVfs::chmod(const std::string& path, std::uint16_t perm) {
 
 fs::Status LocalVfs::chown(const std::string& path, std::uint32_t uid,
                            std::uint32_t gid) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   fs::SetAttr sa;
@@ -143,14 +143,14 @@ fs::Status LocalVfs::chown(const std::string& path, std::uint32_t uid,
 }
 
 fs::Status LocalVfs::access(const std::string& path, int amode) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   return fs_.access(*ino, amode);
 }
 
 fs::Result<fs::Attr> LocalVfs::stat(const std::string& path) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   return fs_.getattr(*ino);
@@ -158,7 +158,7 @@ fs::Result<fs::Attr> LocalVfs::stat(const std::string& path) {
 
 fs::Status LocalVfs::utime(const std::string& path, sim::Time atime,
                            sim::Time mtime) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   fs::Result<fs::Ino> ino = fs_.resolve(path);
   if (!ino) return ino.error();
   fs::SetAttr sa;
@@ -169,18 +169,18 @@ fs::Status LocalVfs::utime(const std::string& path, sim::Time atime,
 
 fs::Result<std::uint32_t> LocalVfs::read(Fd fd, std::uint64_t off,
                                          std::span<std::uint8_t> out) {
-  ScopedSyscall scoped(*this, env_, Syscall::kRead, static_cast<std::uint32_t>(out.size()));
+  ScopedSyscall scoped(*this, env_, obs::Op::kRead, static_cast<std::uint32_t>(out.size()));
   return fs_.read(fd, off, out);
 }
 
 fs::Result<std::uint32_t> LocalVfs::write(Fd fd, std::uint64_t off,
                                           std::span<const std::uint8_t> in) {
-  ScopedSyscall scoped(*this, env_, Syscall::kWrite, static_cast<std::uint32_t>(in.size()));
+  ScopedSyscall scoped(*this, env_, obs::Op::kWrite, static_cast<std::uint32_t>(in.size()));
   return fs_.write(fd, off, in);
 }
 
 fs::Status LocalVfs::fsync(Fd fd) {
-  ScopedSyscall scoped(*this, env_, Syscall::kMeta, 0);
+  ScopedSyscall scoped(*this, env_, obs::Op::kMeta, 0);
   return fs_.fsync(fd);
 }
 

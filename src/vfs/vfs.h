@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fs/types.h"
+#include "obs/trace.h"
 #include "sim/env.h"
 
 namespace netstore::vfs {
@@ -20,31 +21,24 @@ namespace netstore::vfs {
 /// File descriptor handle (opaque; maps to inode/file handle inside).
 using Fd = std::uint64_t;
 
-enum class Syscall {
-  kMeta,   // directory/attribute operations
-  kRead,
-  kWrite,
-  kOpen,
-  kClose,
-};
-
 /// Everything the testbed observes about the syscall surface, folded into
 /// one interface: per-call client CPU cost and the per-request trace-span
-/// lifecycle.  The Testbed installs a single Instrumentation object
-/// instead of wiring N std::function hooks.
+/// lifecycle.  A call's kind is its obs::Op request class.  The Testbed
+/// installs a single Instrumentation object instead of wiring N
+/// std::function hooks.
 class Instrumentation {
  public:
   virtual ~Instrumentation() = default;
 
   /// Client CPU cost of the call; charged (clock advanced) at entry.
-  virtual sim::Duration syscall_cost(sim::Time at, Syscall kind,
+  virtual sim::Duration syscall_cost(sim::Time at, obs::Op kind,
                                      std::uint32_t bytes) = 0;
 
   /// Trace-span lifecycle around every syscall.  enter runs before the
   /// CPU cost is charged; exit runs when the call returns.
-  virtual void syscall_enter(sim::Time at, Syscall kind,
+  virtual void syscall_enter(sim::Time at, obs::Op kind,
                              std::uint32_t bytes) = 0;
-  virtual void syscall_exit(sim::Time at, Syscall kind) = 0;
+  virtual void syscall_exit(sim::Time at, obs::Op kind) = 0;
 };
 
 class Vfs {
@@ -91,7 +85,8 @@ class Vfs {
   /// cost; destruction closes the span when the call returns.
   class ScopedSyscall {
    public:
-    ScopedSyscall(Vfs& vfs, sim::Env& env, Syscall kind, std::uint32_t bytes)
+    ScopedSyscall(Vfs& vfs, sim::Env& env, obs::Op kind,
+                  std::uint32_t bytes)
         : instr_(vfs.instr_), env_(env), kind_(kind) {
       if (instr_ == nullptr) return;
       instr_->syscall_enter(env_.now(), kind_, bytes);
@@ -106,7 +101,7 @@ class Vfs {
    private:
     Instrumentation* instr_;
     sim::Env& env_;
-    Syscall kind_;
+    obs::Op kind_;
   };
 
  private:

@@ -3,6 +3,11 @@
 // consistent-cache simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/testbed.h"
 #include "workloads/traces.h"
 
@@ -137,6 +142,59 @@ TEST(DelegationTest, RenameUnderDelegation) {
   bed.nfs_client().flush_delegated_updates();
   EXPECT_TRUE(bed.server_fs().resolve("/new").ok());
   EXPECT_FALSE(bed.server_fs().resolve("/old").ok());
+}
+
+// The file's bytes as the server's own file system holds them.
+std::vector<std::uint8_t> server_bytes(Testbed& bed, const std::string& path) {
+  auto ino = bed.server_fs().resolve(path);
+  if (!ino.ok()) return {};
+  std::vector<std::uint8_t> out(bed.server_fs().getattr(*ino)->size);
+  EXPECT_TRUE(bed.server_fs().read(*ino, 0, out).ok());
+  return out;
+}
+
+// A client page cache that holds only two pages.
+core::TestbedConfig two_page_client_cache() {
+  core::TestbedConfig cfg;
+  cfg.system.client_cache_pages = 2;
+  return cfg;
+}
+
+// Writes page `index` filled with a byte unique to it, and records the
+// write in `expect`.
+void write_page(Testbed& bed, vfs::Fd fd, std::uint64_t index,
+                std::vector<std::uint8_t>& expect) {
+  const auto fill = static_cast<std::uint8_t>(0x11 * (index + 1));
+  std::vector<std::uint8_t> page(4096, fill);
+  ASSERT_TRUE(bed.vfs().write(fd, index * 4096, page).ok());
+  if (expect.size() < (index + 1) * 4096) expect.resize((index + 1) * 4096);
+  std::copy(page.begin(), page.end(), expect.begin() + index * 4096);
+}
+
+TEST(DelegationTest, UnshippedPagesOutliveAFullClientCache) {
+  // Pages of a file created under the delegation exist only at the
+  // client until the flush ships them: evicting one would lose its data.
+  Testbed bed(Protocol::kNfsV4Delegation, two_page_client_cache());
+  auto fd = bed.vfs().creat("/f", 0644);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::uint8_t> expect;
+  for (std::uint64_t i = 0; i < 3; ++i) write_page(bed, *fd, i, expect);
+  bed.nfs_client().flush_delegated_updates();
+  EXPECT_EQ(server_bytes(bed, "/f"), expect);
+}
+
+TEST(DelegationTest, ReKeyingShippedPagesEvictsNoUnshippedPage) {
+  // Writing page 1 before page 0 leaves page 1 the LRU tail; re-keying
+  // page 0 to the server handle must not evict page 1 before it too is
+  // re-keyed.
+  Testbed bed(Protocol::kNfsV4Delegation, two_page_client_cache());
+  auto fd = bed.vfs().creat("/f", 0644);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::uint8_t> expect;
+  write_page(bed, *fd, 1, expect);
+  write_page(bed, *fd, 0, expect);
+  bed.nfs_client().flush_delegated_updates();
+  EXPECT_EQ(server_bytes(bed, "/f"), expect);
 }
 
 TEST(TraceSimTest, GeneratorIsDeterministic) {

@@ -30,28 +30,18 @@ using obs::Tracer;
 
 // --- MetricsRegistry --------------------------------------------------
 
-TEST(MetricsRegistry, OwnedMetricsAreCreatedOnFirstUseAndStable) {
-  MetricsRegistry reg;
-  sim::Counter& c = reg.counter("a.b.count");
-  c.add(3);
-  EXPECT_EQ(reg.counter("a.b.count").value(), 3u);  // same object
-  EXPECT_TRUE(reg.contains("a.b.count"));
-  EXPECT_FALSE(reg.contains("a.b"));
-  EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(MetricsRegistry, KeyKindMismatchIsFatal) {
-  MetricsRegistry reg;
-  reg.counter("k");
-  EXPECT_DEATH(reg.sampler("k"), "");
-}
-
 TEST(MetricsRegistry, ReAdoptingAKeyIsFatal) {
   MetricsRegistry reg;
   sim::Counter c1;
   sim::Counter c2;
+  sim::Sampler s;
   reg.adopt_counter("dup", c1);
+  EXPECT_TRUE(reg.contains("dup"));
+  EXPECT_FALSE(reg.contains("du"));
+  EXPECT_EQ(reg.size(), 1u);
   EXPECT_DEATH(reg.adopt_counter("dup", c2), "");
+  // A key names one metric of one kind: a sampler cannot take it either.
+  EXPECT_DEATH(reg.adopt_sampler("dup", s), "");
 }
 
 TEST(MetricsRegistry, AdoptedCountersShareStorageWithTheComponent) {
@@ -68,13 +58,19 @@ TEST(MetricsRegistry, AdoptedCountersShareStorageWithTheComponent) {
 
 TEST(MetricsRegistry, SnapshotDiffSubtractsCountersAndKeepsNewerSamplers) {
   MetricsRegistry reg;
-  reg.counter("c").add(10);
-  reg.sampler("s").record(1.0);
+  sim::Counter c;
+  sim::Sampler smp;
+  sim::Counter new_only;
+  reg.adopt_counter("c", c);
+  reg.adopt_sampler("s", smp);
+  c.add(10);
+  smp.record(1.0);
   const auto older = reg.snapshot();
 
-  reg.counter("c").add(5);
-  reg.sampler("s").record(3.0);
-  reg.counter("new_only").add(2);
+  c.add(5);
+  smp.record(3.0);
+  reg.adopt_counter("new_only", new_only);
+  new_only.add(2);
   const auto newer = reg.snapshot();
 
   const auto d = MetricsRegistry::diff(newer, older);
@@ -85,23 +81,8 @@ TEST(MetricsRegistry, SnapshotDiffSubtractsCountersAndKeepsNewerSamplers) {
   EXPECT_DOUBLE_EQ(d.at("s").summary.max, 3.0);
 }
 
-TEST(MetricsRegistry, HistogramSnapshotsBucketsWithOverflow) {
-  MetricsRegistry reg;
-  sim::Histogram& h = reg.histogram("h", {10.0, 100.0});
-  h.record(5);
-  h.record(50);
-  h.record(500);
-  const auto snap = reg.snapshot();
-  const MetricValue& v = snap.at("h");
-  EXPECT_EQ(v.kind, MetricValue::Kind::kHistogram);
-  EXPECT_EQ(v.count, 3u);
-  ASSERT_EQ(v.buckets.size(), 3u);  // two bounded + overflow
-  EXPECT_EQ(v.buckets[0].second, 1u);
-  EXPECT_EQ(v.buckets[1].second, 1u);
-  EXPECT_EQ(v.buckets[2].second, 1u);
-}
+// --- Sampler merge (shard folding, DESIGN.md §17) ---------------------
 
-// --- Sampler / Histogram merge (shard folding, DESIGN.md §17) ---------
 
 // Merging shard-local samplers in shard order must reproduce exactly the
 // sample sequence and digest a sequential run recording the same values
@@ -164,31 +145,6 @@ TEST(SamplerMerge, InvalidatesTheSortCache) {
   EXPECT_EQ(s.percentile(100), 40.0);
   EXPECT_EQ(s.percentile(0), 10.0);
   EXPECT_EQ(s.count(), 3u);
-}
-
-TEST(HistogramMerge, AddsBucketAndOverflowCountsAndTotals) {
-  sim::Histogram a({10.0, 100.0});
-  sim::Histogram b({10.0, 100.0});
-  a.record(5);     // bucket 0
-  a.record(50);    // bucket 1
-  b.record(7);     // bucket 0
-  b.record(5000);  // overflow
-
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.bucket(0), 2u);
-  EXPECT_EQ(a.bucket(1), 1u);
-  EXPECT_EQ(a.bucket(2), 1u);  // overflow bucket
-  // The source histogram is untouched.
-  EXPECT_EQ(b.total(), 2u);
-}
-
-TEST(HistogramMergeDeathTest, MismatchedBoundsAreFatal) {
-  sim::Histogram a({10.0, 100.0});
-  sim::Histogram coarser({10.0});
-  sim::Histogram shifted({10.0, 200.0});
-  EXPECT_DEATH(a.merge(coarser), "CHECK failed");
-  EXPECT_DEATH(a.merge(shifted), "CHECK failed");
 }
 
 // --- Tracer -----------------------------------------------------------
@@ -319,8 +275,12 @@ TEST(Report, JsonIsDeterministicAndWellFormed) {
   obs::ReportTable& t = r.table("tab", {"name", "n", "ratio"});
   t.row({"seq \"read\"", std::uint64_t{33362}, 0.25});
   MetricsRegistry reg;
-  reg.counter("z.last").add(1);
-  reg.counter("a.first").add(2);
+  sim::Counter last;
+  sim::Counter first;
+  reg.adopt_counter("z.last", last);
+  reg.adopt_counter("a.first", first);
+  last.add(1);
+  first.add(2);
   r.add_snapshot("final", reg.snapshot());
 
   const std::string j = r.json();

@@ -290,17 +290,5 @@ TEST(StatsTest, EmptySamplerIsZero) {
   EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(StatsTest, HistogramBuckets) {
-  Histogram h({10.0, 100.0});
-  h.record(5);
-  h.record(50);
-  h.record(500);
-  h.record(7);
-  EXPECT_EQ(h.bucket(0), 2u);  // <= 10
-  EXPECT_EQ(h.bucket(1), 1u);  // <= 100
-  EXPECT_EQ(h.bucket(2), 1u);  // overflow
-  EXPECT_EQ(h.total(), 4u);
-}
-
 }  // namespace
 }  // namespace netstore::sim

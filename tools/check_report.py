@@ -9,8 +9,8 @@ Checks, per file:
   * every table: unique name, string columns, every row exactly as wide
     as the header, cells are strings or finite numbers
   * every snapshot: metrics keyed by dotted names; each value is a
-    counter {value}, sampler {count, mean, min, max, p50, p95, p99} or
-    histogram {total, buckets}
+    counter {value} or sampler {count, mean, min, max, p50, p95, p99,
+    p999}; any other kind is rejected
   * every trace:* table: the per-component mean latencies sum to the
     total mean within 1 us (the paper's Table 4 breakdown criterion)
   * any "pool" snapshot (BufferPool telemetry, NETSTORE_POOL_STATS=1):
@@ -59,21 +59,6 @@ def check_metric(key, v):
             isinstance(v.get(f), (int, float)) and math.isfinite(v[f])
             for f in ("mean", "min", "max", "p50", "p95", "p99", "p999")
         )
-    if kind == "histogram":
-        if not isinstance(v.get("total"), int):
-            return False
-        buckets = v.get("buckets")
-        if not isinstance(buckets, list) or not buckets:
-            return False
-        for b in buckets:
-            if not (isinstance(b, list) and len(b) == 2):
-                return False
-            bound, count = b
-            if not isinstance(count, int):
-                return False
-            if not (bound == "+inf" or isinstance(bound, (int, float))):
-                return False
-        return buckets[-1][0] == "+inf"
     return False
 
 
