@@ -34,14 +34,20 @@ TEST(MetricsRegistry, ReAdoptingAKeyIsFatal) {
   MetricsRegistry reg;
   sim::Counter c1;
   sim::Counter c2;
-  sim::Sampler s;
   reg.adopt_counter("dup", c1);
   EXPECT_TRUE(reg.contains("dup"));
   EXPECT_FALSE(reg.contains("du"));
   EXPECT_EQ(reg.size(), 1u);
   EXPECT_DEATH(reg.adopt_counter("dup", c2), "");
-  // A key names one metric of one kind: a sampler cannot take it either.
-  EXPECT_DEATH(reg.adopt_sampler("dup", s), "");
+}
+
+TEST(MetricsRegistry, KeyKindMismatchIsFatal) {
+  MetricsRegistry reg;
+  sim::Counter c;
+  sim::Sampler s;
+  reg.adopt_counter("k", c);
+  // A key names one metric of one kind: a sampler cannot take it.
+  EXPECT_DEATH(reg.adopt_sampler("k", s), "");
 }
 
 TEST(MetricsRegistry, AdoptedCountersShareStorageWithTheComponent) {
