@@ -42,7 +42,7 @@ void TimedCache::insert(sim::Time start, Lba lba, core::BufRef data,
   while (map_.size() >= capacity_) {
     // Evict coldest clean block; write back coldest dirty if none clean.
     Entry* victim = nullptr;
-    for (Entry* e = lru_.back(); e != nullptr; e = lru_.warmer(e)) {
+    for (Entry* e = lru_.back(); e != nullptr; e = lru_.prev(e)) {
       if (!e->dirty) {
         victim = e;
         break;
@@ -122,7 +122,7 @@ sim::Time TimedCache::writeback_down_to(sim::Time start,
                                         std::uint64_t target_dirty) {
   // Gather dirty blocks in LBA order so the array sees sequential runs.
   std::vector<Entry*> dirty;
-  for (Entry* e = lru_.front(); e != nullptr; e = lru_.colder(e)) {
+  for (Entry* e = lru_.front(); e != nullptr; e = lru_.next(e)) {
     if (e->dirty) dirty.push_back(e);
   }
   std::sort(dirty.begin(), dirty.end(),

@@ -17,7 +17,7 @@
 #include "block/block.h"
 #include "block/raid5.h"
 #include "core/buffer_pool.h"
-#include "core/intrusive_lru.h"
+#include "core/intrusive_list.h"
 #include "sim/stats.h"
 #include "sim/time.h"
 
@@ -75,8 +75,7 @@ class TimedCache {
 
  private:
   struct Entry {
-    Entry* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
-    Entry* lru_next = nullptr;
+    core::ListLink<Entry> lru;  // intrusive LRU links (core::LruList)
     Lba lba = 0;
     core::BufRef data;  // pooled frame, shared with clones and the array
     bool dirty = false;
@@ -88,7 +87,7 @@ class TimedCache {
   Raid5Array& array_;
   std::uint64_t capacity_;
   std::uint64_t dirty_high_water_;
-  // LRU links live inside the map nodes (see core/intrusive_lru.h).
+  // LRU links live inside the map nodes (see core/intrusive_list.h).
   std::unordered_map<Lba, Entry> map_;
   core::LruList<Entry> lru_;
   std::uint64_t dirty_count_ = 0;

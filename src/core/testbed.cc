@@ -111,6 +111,14 @@ void Testbed::quiesce() {
       nfs_client_->drain_pending_writes();
     }
   } while (env_.pending_events() > 0);
+  if (config_.system.invariant_audits) {
+    if (protocol_ == Protocol::kIscsi) {
+      client_fs_->pages().check_index();
+    } else {
+      server_fs_->pages().check_index();
+      nfs_client_->check_page_index();
+    }
+  }
 }
 
 Testbed::Testbed(const Testbed& src, ForkTag)

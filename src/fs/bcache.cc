@@ -62,7 +62,7 @@ void Bcache::maybe_evict() {
     // Evict the coldest clean block; dirty blocks are pinned, so if all
     // are dirty, checkpoint the coldest to free it.
     Entry* victim = nullptr;
-    for (Entry* e = lru_.back(); e != nullptr; e = lru_.warmer(e)) {
+    for (Entry* e = lru_.back(); e != nullptr; e = lru_.prev(e)) {
       if (!e->dirty && !e->loading) {
         victim = e;
         break;

@@ -17,7 +17,7 @@
 
 #include "block/device.h"
 #include "core/buffer_pool.h"
-#include "core/intrusive_lru.h"
+#include "core/intrusive_list.h"
 #include "sim/stats.h"
 
 namespace netstore::fs {
@@ -81,8 +81,7 @@ class Bcache {
 
  private:
   struct Entry {
-    Entry* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
-    Entry* lru_next = nullptr;
+    core::ListLink<Entry> lru;  // intrusive LRU links (core::LruList)
     block::Lba lba = 0;
     core::BufRef buf;  // pooled frame, shared with clones until written
     bool dirty = false;

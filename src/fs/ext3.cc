@@ -132,8 +132,9 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
     // Blocks beyond the end of the device (short last group).  These can
     // overlap the inode-table marks above, so the free count is taken
     // from the finished bitmap, not incremented per mark.
-    for (Lba b = base; b < base + kBlocksPerGroup; ++b) {
-      if (b >= total) set_bit(b - base);
+    for (Lba b = std::max<Lba>(base, total); b < base + kBlocksPerGroup;
+         ++b) {
+      set_bit(b - base);
     }
     std::uint32_t used = 0;
     for (const std::uint8_t byte : buf) {

@@ -16,27 +16,66 @@ std::unique_ptr<PageCache> PageCache::clone(sim::Env& env,
                                             block::BlockDevice& dev) const {
   NETSTORE_CHECK(!flusher_scheduled_,
                  "cannot clone a PageCache with a scheduled flusher tick");
+  check_index();
   auto copy = std::make_unique<PageCache>(env, dev, params_);
   copy->pages_.reserve(pages_.size());
-  // Hash-map iteration order only affects the clone's internal layout;
-  // eviction order is rebuilt exactly below.
-  // netstore-lint: allow(unordered-iter)
-  for (const auto& kv : pages_) {
-    Page& p = copy->pages_[kv.first];
-    p.key = kv.second.key;
-    p.data = kv.second.data;  // shares the frame (copy-on-write)
-    p.lba = kv.second.lba;
-    p.dirty = kv.second.dirty;
-    p.ready_at = kv.second.ready_at;
-    p.dirty_since = kv.second.dirty_since;
+  // One pass, coldest to warmest: pushing each copy at the LRU front
+  // reproduces the source's recency order, so future evictions pick
+  // identical victims in both worlds.  The per-inode lists come out in
+  // LRU order rather than the source's, which nothing observes: every
+  // write-back sorts its victims by LBA.
+  for (const Page* s = lru_.back(); s != nullptr; s = lru_.prev(s)) {
+    Page& p = copy->pages_[s->key];
+    p.key = s->key;
+    p.data = s->data;  // shares the frame (copy-on-write)
+    p.lba = s->lba;
+    p.dirty = s->dirty;
+    p.ready_at = s->ready_at;
+    p.dirty_since = s->dirty_since;
+    copy->lru_.push_front(&p);
+    p.owner = &copy->inodes_[s->key.ino];
+    p.owner->pages.push_back(&p);
+    if (p.dirty) {
+      if (p.owner->dirty.empty()) copy->dirty_inodes_.push_back(p.owner);
+      p.owner->dirty.push_back(&p);
+    }
   }
-  core::clone_lru_order(lru_, copy->lru_, [&copy](const Page& src) {
-    return &copy->pages_.find(src.key)->second;
-  });
   copy->dirty_count_ = dirty_count_;
   copy->stopped_ = stopped_;
   copy->stats_ = stats_;
   return copy;
+}
+
+void PageCache::check_index() const {
+  NETSTORE_CHECK_EQ(lru_.size(), pages_.size(),
+                    "page map and page LRU out of sync");
+  std::size_t listed = 0;
+  std::size_t dirty = 0;
+  std::size_t dirty_inodes = 0;
+  // Order-free: only counts and per-node checks.
+  // netstore-lint: allow(unordered-iter)
+  for (const auto& [ino, f] : inodes_) {
+    NETSTORE_CHECK(!f.pages.empty(), "inode record with no pages");
+    for (const Page* p = f.pages.front(); p != nullptr;
+         p = f.pages.next(p)) {
+      NETSTORE_CHECK(p->owner == &f && p->key.ino == ino,
+                     "page listed under the wrong inode");
+      ++listed;
+    }
+    for (const Page* p = f.dirty.front(); p != nullptr;
+         p = f.dirty.next(p)) {
+      NETSTORE_CHECK(p->dirty && p->owner == &f,
+                     "clean or foreign page on an inode's dirty list");
+      ++dirty;
+    }
+    if (!f.dirty.empty()) ++dirty_inodes;
+  }
+  NETSTORE_CHECK_EQ(listed, pages_.size(),
+                    "per-inode page lists and page map out of sync");
+  NETSTORE_CHECK_EQ(dirty, dirty_count_,
+                    "dirty sublists and dirty count out of sync");
+  NETSTORE_CHECK_EQ(dirty_inodes, dirty_inodes_.size(),
+                    "dirty-inode list and dirty sublists out of sync");
 }
 
 PageCache::Page* PageCache::lookup(Ino ino, std::uint64_t index) {
@@ -56,7 +95,19 @@ PageCache::Page& PageCache::emplace(Ino ino, std::uint64_t index,
   // into, or zero-filled) before the page is observable.
   p.lba = lba;
   lru_.push_front(&p);
+  p.owner = &inodes_[ino];
+  p.owner->pages.push_back(&p);
   return p;
+}
+
+void PageCache::erase(Page* p) {
+  if (p->dirty) mark_clean(p);
+  lru_.unlink(p);
+  InodePages* f = p->owner;
+  f->pages.unlink(p);
+  const Key key = p->key;  // copy: erase destroys the node
+  pages_.erase(key);
+  if (f->pages.empty()) inodes_.erase(key.ino);
 }
 
 void PageCache::evict_if_needed() {
@@ -64,18 +115,17 @@ void PageCache::evict_if_needed() {
     // Coldest clean page goes first; if everything is dirty, write back
     // the aged pages and retry.
     Page* victim = nullptr;
-    for (Page* p = lru_.back(); p != nullptr; p = lru_.warmer(p)) {
+    for (Page* p = lru_.back(); p != nullptr; p = lru_.prev(p)) {
       if (!p->dirty) {
         victim = p;
         break;
       }
     }
     if (victim != nullptr) {
-      lru_.unlink(victim);
-      const Key key = victim->key;  // copy: erase destroys the node
-      pages_.erase(key);
+      erase(victim);
     } else {
-      writeback(nullptr);  // everything; then the loop evicts clean pages
+      // Everything; then the loop evicts clean pages.
+      writeback_dirty();
     }
   }
 }
@@ -116,8 +166,18 @@ PageCache::Page& PageCache::dirty_page(Ino ino, std::uint64_t index,
     p.dirty = true;
     p.dirty_since = env_.now();
     dirty_count_++;
+    if (p.owner->dirty.empty()) dirty_inodes_.push_back(p.owner);
+    p.owner->dirty.push_back(&p);
   }
   return p;
+}
+
+void PageCache::mark_clean(Page* p) {
+  p->dirty = false;
+  NETSTORE_CHECK_GT(dirty_count_, 0u, "page-cache dirty count underflow");
+  dirty_count_--;
+  p->owner->dirty.unlink(p);
+  if (p->owner->dirty.empty()) dirty_inodes_.unlink(p->owner);
 }
 
 void PageCache::balance_dirty() {
@@ -125,7 +185,7 @@ void PageCache::balance_dirty() {
   if (dirty_count_ > params_.dirty_high_water) {
     // bdflush: over the high-water mark, push everything dirty out (the
     // writes are asynchronous; only the initiator queue throttles us).
-    writeback(nullptr);
+    writeback_dirty();
   }
 }
 
@@ -149,20 +209,31 @@ void PageCache::install_dirty(Ino ino, std::uint64_t index, block::Lba lba,
   balance_dirty();
 }
 
-void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {
-  // Collect dirty pages, sort by LBA, coalesce contiguous runs into large
-  // device writes (this is where iSCSI's big write requests come from).
-  // Locals, not members: an async device write may advance the clock and
-  // dispatch a flusher tick that re-enters writeback.
+void PageCache::writeback_dirty(sim::Time dirtied_by) {
   std::vector<Page*> victims;
-  // netstore-lint: allow(unordered-iter) -- victims are sorted by LBA below
-  for (auto& [key, page] : pages_) {
-    if (page.dirty && (!pred || pred(key, page))) {
-      victims.push_back(&page);
+  for (InodePages* f = dirty_inodes_.front(); f != nullptr;
+       f = dirty_inodes_.next(f)) {
+    for (Page* p = f->dirty.front(); p != nullptr; p = f->dirty.next(p)) {
+      if (p->dirty_since <= dirtied_by) victims.push_back(p);
     }
   }
+  writeback(victims);
+}
+
+void PageCache::writeback(std::vector<Page*>& victims) {
+  // Sort by LBA and coalesce contiguous runs into large device writes
+  // (this is where iSCSI's big write requests come from).  The victims
+  // are a local, not a member: an async device write may advance the
+  // clock and dispatch a flusher tick that re-enters writeback.
   std::sort(victims.begin(), victims.end(),
             [](const Page* a, const Page* b) { return a->lba < b->lba; });
+  // Distinct LBAs make the sorted order, and so the device write stream,
+  // independent of the order the dirty lists held the pages in.
+  NETSTORE_DCHECK(std::adjacent_find(victims.begin(), victims.end(),
+                                     [](const Page* a, const Page* b) {
+                                       return a->lba == b->lba;
+                                     }) == victims.end(),
+                  "two dirty pages map to one LBA");
 
   std::vector<core::BufRef> refs;
   std::size_t i = 0;
@@ -183,9 +254,7 @@ void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {
     refs.clear();
     for (std::size_t j = 0; j < run; ++j) {
       refs.push_back(victims[i + j]->data);  // shares the frame
-      victims[i + j]->dirty = false;
-      NETSTORE_CHECK_GT(dirty_count_, 0u, "page-cache dirty count underflow");
-      dirty_count_--;
+      mark_clean(victims[i + j]);
     }
     dev_.write(victims[i]->lba, refs, block::WriteMode::kAsync);
     stats_.writeback_pages.add(run);
@@ -201,34 +270,40 @@ void PageCache::schedule_flusher() {
     if (alive.expired()) return;
     flusher_scheduled_ = false;
     if (stopped_) return;
-    const sim::Time now = env_.now();
-    writeback([&](const Key&, const Page& p) {
-      return now - p.dirty_since >= params_.max_dirty_age;
-    });
+    writeback_dirty(env_.now() - params_.max_dirty_age);
     if (dirty_count_ > 0) schedule_flusher();
   });
 }
 
 void PageCache::drop_inode(Ino ino, std::uint64_t from_index) {
-  // netstore-lint: allow(unordered-iter) -- pure erase, no I/O or stats
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (it->first.ino == ino && it->first.index >= from_index) {
-      if (it->second.dirty) dirty_count_--;
-      lru_.unlink(&it->second);
-      it = pages_.erase(it);
-    } else {
-      ++it;
-    }
+  auto it = inodes_.find(ino);
+  if (it == inodes_.end()) return;
+  // erase() frees the record along with its last page; `next` is null by
+  // then, so the loop never reads the record again.
+  auto& pages = it->second.pages;
+  for (Page* p = pages.front(); p != nullptr;) {
+    Page* next = pages.next(p);
+    if (p->key.index >= from_index) erase(p);
+    p = next;
   }
 }
 
 void PageCache::flush_inode(Ino ino) {
-  writeback([&](const Key& k, const Page&) { return k.ino == ino; });
+  auto it = inodes_.find(ino);
+  if (it != inodes_.end()) {
+    const auto& dirty = it->second.dirty;
+    std::vector<Page*> victims;
+    victims.reserve(dirty.size());
+    for (Page* p = dirty.front(); p != nullptr; p = dirty.next(p)) {
+      victims.push_back(p);
+    }
+    writeback(victims);
+  }
   dev_.flush();
 }
 
 void PageCache::flush_all(bool wait) {
-  writeback(nullptr);
+  writeback_dirty();
   if (wait) dev_.flush();
 }
 
@@ -237,6 +312,8 @@ void PageCache::clear() {
   flush_all(true);
   pages_.clear();
   lru_.reset();
+  inodes_.clear();
+  dirty_inodes_.reset();
   dirty_count_ = 0;
   stopped_ = false;
 }
@@ -245,6 +322,8 @@ void PageCache::crash() {
   stopped_ = true;
   pages_.clear();
   lru_.reset();
+  inodes_.clear();
+  dirty_inodes_.reset();
   dirty_count_ = 0;
   stopped_ = false;
 }

@@ -8,20 +8,26 @@
 // Pages remember the disk block they map to (assigned by the file system
 // at insertion), so write-back needs no callback into the FS.
 //
-// Hot-path layout: the LRU links live inside the map node (see
-// core/intrusive_lru.h) — one allocation per page, one hash lookup per
-// touch — and write-back hands the resident pages' frames to the device,
-// which adopts them instead of copying.
+// Layout (see core/intrusive_list.h): one map node per page, one hash
+// lookup per touch.  Each node is threaded onto the cache-wide LRU, its
+// inode's page list and, while dirty, its inode's dirty sublist; inodes
+// with dirty pages sit on a dirty-inode list.  So fsync, truncate and
+// unlink cost O(that inode's pages), the periodic and high-water flushes
+// O(dirty pages), and nothing walks the whole cache.  Write-back sorts
+// its victims by LBA before coalescing, so the device write stream does
+// not depend on the order the lists hold pages in, and it hands the
+// pages' frames to the device, which adopts them instead of copying.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "block/device.h"
 #include "core/buffer_pool.h"
-#include "core/intrusive_lru.h"
+#include "core/intrusive_list.h"
 #include "sim/env.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
@@ -104,6 +110,13 @@ class PageCache {
   /// True while a flusher tick is scheduled (quiescence probe).
   [[nodiscard]] bool flusher_scheduled() const { return flusher_scheduled_; }
 
+  /// CHECK-fails unless the per-inode index agrees with the page map:
+  /// every page is on its own inode's list and on the LRU, exactly the
+  /// dirty pages are on dirty sublists, `dirty_pages()` counts them, and
+  /// exactly the inodes with dirty pages are on the dirty-inode list.
+  /// O(resident pages); runs at clone and in audited quiesce.
+  void check_index() const;
+
   /// Deep copy for checkpoint/fork, rehomed onto the cloned world's
   /// env/device.  Pages (contents, dirty bits, read-ahead deadlines) and
   /// the exact LRU recency order carry over; the clone gets a fresh
@@ -127,29 +140,49 @@ class PageCache {
           sim::mix64(k.ino ^ sim::mix64(k.index)));
     }
   };
+  struct InodePages;
   struct Page {
-    Page* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
-    Page* lru_next = nullptr;
-    Key key{};                 // owning map key, for erase via LRU walk
-    core::BufRef data;         // pooled frame; may be shared with a fork,
-                               // the bcache below, or the disk store
+    core::ListLink<Page> lru;         // cache-wide recency (core::LruList)
+    core::ListLink<Page> file;        // owner->pages
+    core::ListLink<Page> dirty_link;  // owner->dirty, while dirty
+    InodePages* owner = nullptr;      // this inode's record in inodes_
+    Key key{};          // owning map key, for erase via a list walk
+    core::BufRef data;  // pooled frame; may be shared with a fork, the
+                        // bcache below, or the disk store
     block::Lba lba = 0;
     bool dirty = false;
     sim::Time ready_at = 0;     // read-ahead completion
     sim::Time dirty_since = 0;  // first dirtying in this epoch
   };
+  /// One inode's pages (Linux 2.4's address_space).  Exists exactly while
+  /// the inode has a resident page.
+  struct InodePages {
+    core::IntrusiveList<Page, &Page::file> pages;
+    core::IntrusiveList<Page, &Page::dirty_link> dirty;
+    core::ListLink<InodePages> dirty_inodes;  // on dirty_inodes_ iff
+                                              // `dirty` is non-empty
+  };
 
   Page* lookup(Ino ino, std::uint64_t index);
   Page& emplace(Ino ino, std::uint64_t index, block::Lba lba);
   void evict_if_needed();
+  /// Unlinks `p` from every list and erases it, and its inode's record
+  /// with it when `p` was the inode's last page.
+  void erase(Page* p);
   /// Looks up or creates the page (waiting out an in-flight read-ahead)
   /// and marks it dirty, backed by `lba`.
   Page& dirty_page(Ino ino, std::uint64_t index, block::Lba lba);
+  /// Takes a dirty page off its inode's dirty sublist and the count.
+  void mark_clean(Page* p);
   /// Arms the flusher and, over the dirty high-water mark, writes back.
   void balance_dirty();
-  /// Writes dirty pages selected by `pred` (null = all), coalescing
-  /// LBA-contiguous runs into one device write each; async.
-  void writeback(sim::FuncRef<bool(const Key&, const Page&)> pred);
+  /// Writes back every page dirtied at or before `dirtied_by` (by
+  /// default, every dirty page).
+  void writeback_dirty(
+      sim::Time dirtied_by = std::numeric_limits<sim::Time>::max());
+  /// Writes `victims` (dirty pages) in LBA order, coalescing LBA-contiguous
+  /// runs into one device write each; async.
+  void writeback(std::vector<Page*>& victims);
   void schedule_flusher();
 
   sim::Env& env_;
@@ -162,6 +195,8 @@ class PageCache {
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   std::unordered_map<Key, Page, KeyHash> pages_;
   core::LruList<Page> lru_;  // front = most recent
+  std::unordered_map<Ino, InodePages> inodes_;  // per-inode page index
+  core::IntrusiveList<InodePages, &InodePages::dirty_inodes> dirty_inodes_;
   std::uint64_t dirty_count_ = 0;
   bool flusher_scheduled_ = false;
   bool stopped_ = false;

@@ -48,21 +48,22 @@ std::unique_ptr<NfsClient> NfsClient::clone(sim::Env& env,
   copy->deleg_negative_ = deleg_negative_;
   copy->attrs_ = attrs_;
   copy->access_cache_ = access_cache_;
-  NETSTORE_CHECK_EQ(page_lru_.size(), pages_.size(),
-                    "page map and page LRU out of sync");
+  check_page_index();
   copy->pages_.reserve(pages_.size());
-  // Hash-map iteration order only affects the clone's internal layout;
-  // eviction order is rebuilt exactly below.
-  // netstore-lint: allow(unordered-iter)
-  for (const auto& [key, page] : pages_) {
-    Page& p = copy->pages_[key];
-    p.key = key;
-    p.data = page.data;  // shares the frame (copy-on-write)
-    p.ready_at = page.ready_at;
+  // One pass, coldest to warmest: pushing each copy at the LRU front
+  // reproduces the source's recency order, so future evictions pick
+  // identical victims.  The per-handle lists come out in LRU order, which
+  // nothing observes (ship_local_data sorts by page index).
+  for (const Page* s = page_lru_.back(); s != nullptr;
+       s = page_lru_.prev(s)) {
+    Page& p = copy->pages_[s->key];
+    p.key = s->key;
+    p.data = s->data;  // shares the frame (copy-on-write)
+    p.ready_at = s->ready_at;
+    copy->page_lru_.push_front(&p);
+    p.owner = &copy->file_pages_[s->key.fh];
+    p.owner->push_back(&p);
   }
-  core::clone_lru_order(page_lru_, copy->page_lru_, [&copy](const Page& src) {
-    return &copy->pages_.find(src.key)->second;
-  });
   copy->files_ = files_;
   copy->write_pool_ = write_pool_;
   copy->deleg_queue_ = deleg_queue_;
@@ -269,6 +270,7 @@ void NfsClient::invalidate_caches() {
   access_cache_.clear();
   pages_.clear();
   page_lru_.reset();
+  file_pages_.clear();
   files_.clear();
 }
 

@@ -14,6 +14,12 @@
 //     per-component ACCESS chatter (Table 2's higher v4 counts),
 //   * close-to-open consistency (GETATTR on open, flush + COMMIT on
 //     close).
+//
+// Data pages are write-through and live in one map node each, threaded
+// onto the cache-wide LRU and onto their file handle's page list
+// (core/intrusive_list.h), so dropping a file's pages (unlink, truncate,
+// a changed mtime) and shipping a delegated file's pages cost O(that
+// file's pages), never a walk of the whole cache.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +35,7 @@
 #include "rpc/rpc.h"
 #include "block/block.h"
 #include "core/buffer_pool.h"
-#include "core/intrusive_lru.h"
+#include "core/intrusive_list.h"
 #include "core/iovec.h"
 #include "sim/env.h"
 #include "sim/inflight_window.h"
@@ -159,6 +165,12 @@ class NfsClient {
   /// clock to each completion (Testbed::quiesce() support).
   void drain_pending_writes() { write_pool_.drain(env_); }
 
+  /// CHECK-fails unless the page index agrees with the page map: every
+  /// page is on the LRU and on its own handle's list, and no handle's
+  /// list is empty.  O(resident pages); runs at clone and in audited
+  /// quiesce.
+  void check_page_index() const;
+
   /// Deep copy for checkpoint/fork, rehomed onto the cloned env/rpc/server:
   /// dentry/attr/access caches, the page cache (LRU order preserved), file
   /// states, the async write pool, and all §7 delegation state.  CHECKs
@@ -202,13 +214,18 @@ class NfsClient {
       return static_cast<std::size_t>(sim::mix64(k.fh ^ sim::mix64(k.index)));
     }
   };
+  // Pages are write-through (every write is already an RPC), so unlike
+  // fs::PageCache they need no dirty sublist: just the LRU and their file
+  // handle's page list (core/intrusive_list.h).
   struct Page {
-    Page* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
-    Page* lru_next = nullptr;
-    PageKey key{};             // owning map key, for erase via LRU walk
-    core::BufRef data;         // pooled frame; may be shared with a fork
+    core::ListLink<Page> lru;   // cache-wide recency (core::LruList)
+    core::ListLink<Page> file;  // *owner
+    core::IntrusiveList<Page, &Page::file>* owner = nullptr;
+    PageKey key{};              // owning map key, for erase via a list walk
+    core::BufRef data;          // pooled frame; may be shared with a fork
     sim::Time ready_at = 0;
   };
+  using FilePages = core::IntrusiveList<Page, &Page::file>;
   struct FileState {
     sim::Time last_reval = -1;
     sim::Time known_mtime = -1;
@@ -268,6 +285,9 @@ class NfsClient {
   void install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
                       const core::IoVec& iov, sim::Time ready_at);
   void drop_pages(Fh fh);
+  /// Unlinks `p` from both lists and erases it, and its handle's list with
+  /// it when `p` was the last page.
+  void erase_page(Page* p);
   void evict_pages_if_needed();
   fs::Status revalidate_data(Fh fh, FileState& st);
   void do_readahead(Fh fh, FileState& st, std::uint64_t index,
@@ -329,6 +349,8 @@ class NfsClient {
   std::unordered_map<Fh, sim::Time> access_cache_;  // v4
   std::unordered_map<PageKey, Page, PageKeyHash> pages_;
   core::LruList<Page> page_lru_;  // front = most recent
+  // Per-handle page index; an entry exists while the handle has a page.
+  std::unordered_map<Fh, FilePages> file_pages_;
   std::unordered_map<Fh, FileState> files_;
 
   // Completion times of outstanding async WRITE RPCs (v3/v4).

@@ -31,6 +31,8 @@ void NfsClient::insert_page_ref(Fh fh, std::uint64_t index, core::BufRef data,
   if (inserted) {
     p.key = key;
     page_lru_.push_front(&p);
+    p.owner = &file_pages_[fh];
+    p.owner->push_back(&p);
   } else {
     page_lru_.touch(&p);
   }
@@ -65,15 +67,43 @@ void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
 }
 
 void NfsClient::drop_pages(Fh fh) {
-  // netstore-lint: allow(unordered-iter) -- pure erase, no I/O or stats
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (it->first.fh == fh) {
-      page_lru_.unlink(&it->second);
-      it = pages_.erase(it);
-    } else {
-      ++it;
+  auto it = file_pages_.find(fh);
+  if (it == file_pages_.end()) return;
+  for (Page* p = it->second.front(); p != nullptr;) {
+    Page* next = FilePages::next(p);
+    page_lru_.unlink(p);
+    const PageKey key = p->key;  // copy: erase destroys the node
+    pages_.erase(key);
+    p = next;
+  }
+  file_pages_.erase(it);
+}
+
+void NfsClient::erase_page(Page* p) {
+  page_lru_.unlink(p);
+  FilePages* f = p->owner;
+  f->unlink(p);
+  const PageKey key = p->key;  // copy: erase destroys the node
+  pages_.erase(key);
+  if (f->empty()) file_pages_.erase(key.fh);
+}
+
+void NfsClient::check_page_index() const {
+  NETSTORE_CHECK_EQ(page_lru_.size(), pages_.size(),
+                    "page map and page LRU out of sync");
+  std::size_t listed = 0;
+  // Order-free: only counts and per-node checks.
+  // netstore-lint: allow(unordered-iter)
+  for (const auto& [fh, f] : file_pages_) {
+    NETSTORE_CHECK(!f.empty(), "file handle record with no pages");
+    for (const Page* p = f.front(); p != nullptr; p = FilePages::next(p)) {
+      NETSTORE_CHECK(p->owner == &f && p->key.fh == fh,
+                     "page listed under the wrong file handle");
+      ++listed;
     }
   }
+  NETSTORE_CHECK_EQ(listed, pages_.size(),
+                    "per-handle page lists and page map out of sync");
 }
 
 void NfsClient::evict_pages_if_needed() {
@@ -84,12 +114,8 @@ void NfsClient::evict_pages_if_needed() {
   // its capacity until the next delegation flush ships them.
   Page* victim = page_lru_.back();
   while (pages_.size() >= config_.page_cache_capacity && victim != nullptr) {
-    Page* next = core::LruList<Page>::warmer(victim);
-    if (!is_provisional(victim->key.fh)) {
-      page_lru_.unlink(victim);
-      const PageKey key = victim->key;  // copy: erase destroys the node
-      pages_.erase(key);
-    }
+    Page* next = core::LruList<Page>::prev(victim);
+    if (!is_provisional(victim->key.fh)) erase_page(victim);
     victim = next;
   }
 }

@@ -227,9 +227,10 @@ void NfsClient::flush_delegated_updates() {
 void NfsClient::ship_local_data(Fh provisional, Fh real) {
   // Collect the provisional file's pages in index order.
   std::vector<std::pair<std::uint64_t, Page*>> file_pages;
-  // netstore-lint: allow(unordered-iter) -- sorted by page index below
-  for (auto& [key, page] : pages_) {
-    if (key.fh == provisional) file_pages.emplace_back(key.index, &page);
+  if (auto it = file_pages_.find(provisional); it != file_pages_.end()) {
+    for (Page* p = it->second.front(); p != nullptr; p = FilePages::next(p)) {
+      file_pages.emplace_back(p->key.index, p);
+    }
   }
   if (file_pages.empty()) {
     // Still propagate the size (sparse or metadata-only create).

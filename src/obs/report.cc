@@ -51,8 +51,12 @@ std::string json_escape(const std::string& s) {
 
 std::string Cell::json() const {
   switch (kind_) {
-    case Kind::kString:
-      return "\"" + json_escape(str_) + "\"";
+    case Kind::kString: {
+      std::string out = "\"";
+      out += json_escape(str_);
+      out += '"';
+      return out;
+    }
     case Kind::kInt:
       return std::to_string(i64_);
     case Kind::kUInt:

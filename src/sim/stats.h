@@ -51,6 +51,9 @@ class Sampler {
   /// insert, one sort-cache invalidation — the next percentile()/
   /// summary() re-sorts once, not per merged sample.
   void merge(const Sampler& other) {
+    // Reserving first also keeps GCC 12 at -O3 from a false
+    // -Wstringop-overflow on an insert into an empty vector.
+    samples_.reserve(samples_.size() + other.samples_.size());
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
     sorted_valid_ = false;

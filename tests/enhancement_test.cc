@@ -197,6 +197,30 @@ TEST(DelegationTest, ReKeyingShippedPagesEvictsNoUnshippedPage) {
   EXPECT_EQ(server_bytes(bed, "/f"), expect);
 }
 
+// Messages a delegated file of four pages, written in `order`, costs to
+// ship; the server must end up holding the same bytes either way.
+std::uint64_t ship_messages(const std::vector<std::uint64_t>& order) {
+  Testbed bed(Protocol::kNfsV4Delegation);
+  auto fd = bed.vfs().creat("/f", 0644);
+  EXPECT_TRUE(fd.ok());
+  std::vector<std::uint8_t> expect;
+  for (const std::uint64_t index : order) write_page(bed, *fd, index, expect);
+  bed.reset_counters();
+  bed.nfs_client().flush_delegated_updates();
+  EXPECT_EQ(server_bytes(bed, "/f"), expect);
+  return bed.snapshot().messages;
+}
+
+TEST(DelegationTest, ShipsPagesInIndexOrderWhateverTheWriteOrder) {
+  // The per-handle page list holds pages in write order; shipping sorts
+  // them, so the contiguous file goes out in as few WRITEs as when it was
+  // written front to back.
+  const std::uint64_t in_order = ship_messages({0, 1, 2, 3});
+  EXPECT_GT(in_order, 0u);
+  EXPECT_EQ(ship_messages({2, 0, 3, 1}), in_order);
+  EXPECT_EQ(ship_messages({3, 2, 1, 0}), in_order);
+}
+
 TEST(TraceSimTest, GeneratorIsDeterministic) {
   const auto a = workloads::generate_trace(workloads::TraceProfile::eecs(), 9);
   const auto b = workloads::generate_trace(workloads::TraceProfile::eecs(), 9);

@@ -160,6 +160,25 @@ TEST_P(ForkTest, ForkAndSourceStayIdentical) {
   EXPECT_EQ(digest(bed), digest(*forked));
 }
 
+// With invariant audits on, every quiesce() CHECKs both page caches'
+// per-inode indexes against their page maps, and fork() CHECKs them again
+// while cloning.  Unlink and truncate then drop pages through those
+// indexes in both worlds, which must stay identical.
+TEST_P(ForkTest, AuditedForkKeepsPageIndexesConsistent) {
+  core::TestbedConfig cfg;
+  cfg.system.invariant_audits = true;
+  Testbed bed(GetParam(), cfg);
+  warm(bed);
+  std::unique_ptr<Testbed> forked = bed.fork();
+  for (Testbed* w : {&bed, forked.get()}) {
+    ASSERT_NO_FATAL_FAILURE(drive(*w, 42));
+    ASSERT_TRUE(w->vfs().unlink("/d0/warm1"));
+    ASSERT_TRUE(w->vfs().truncate("/d0/warm2", 100 * 1024));
+    w->quiesce();
+  }
+  EXPECT_EQ(digest(bed), digest(*forked));
+}
+
 // A forked run equals a from-scratch run that replayed the same history —
 // the warm-prototype sweep optimization changes nothing observable.
 TEST_P(ForkTest, ForkedRunEqualsFromScratchRun) {

@@ -8,6 +8,7 @@
 
 #include "block/mem_device.h"
 #include "fs/ext3.h"
+#include "names.h"
 
 namespace netstore::fs {
 namespace {
@@ -259,7 +260,7 @@ TEST_F(FsTest, RenameReplacesExistingFile) {
 
 TEST_F(FsTest, ReaddirListsEverything) {
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(fs_->create(kRootIno, "f" + std::to_string(i), 0644).ok());
+    ASSERT_TRUE(fs_->create(kRootIno, test::numbered("f", i), 0644).ok());
   }
   auto entries = fs_->readdir(kRootIno);
   ASSERT_TRUE(entries.ok());
@@ -330,11 +331,11 @@ TEST_F(FsTest, FreeCountsConserved) {
   const auto blocks0 = fs_->free_blocks();
   auto d = fs_->mkdir(kRootIno, "d", 0755);
   for (int i = 0; i < 50; ++i) {
-    auto f = fs_->create(*d, "f" + std::to_string(i), 0644);
+    auto f = fs_->create(*d, test::numbered("f", i), 0644);
     ASSERT_TRUE(fs_->write(*f, 0, bytes(20000, 1)).ok());
   }
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(fs_->unlink(*d, "f" + std::to_string(i)).ok());
+    ASSERT_TRUE(fs_->unlink(*d, test::numbered("f", i)).ok());
   }
   ASSERT_TRUE(fs_->rmdir(kRootIno, "d").ok());
   EXPECT_EQ(fs_->free_inodes(), inodes0);
@@ -366,7 +367,7 @@ TEST(FsShortLastGroupTest, AllocationStaysInsideTheDevice) {
   // with the broken accounting the inode table ran past the device end
   // and died on the block-layer bounds check.
   for (int d = 0; d < 2200; ++d) {
-    auto ino = fs.mkdir(kRootIno, "d" + std::to_string(d), 0755);
+    auto ino = fs.mkdir(kRootIno, test::numbered("d", d), 0755);
     ASSERT_TRUE(ino.ok()) << "mkdir #" << d;
     ASSERT_TRUE(fs.getattr(*ino).ok());
   }

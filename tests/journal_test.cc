@@ -6,6 +6,7 @@
 
 #include "block/mem_device.h"
 #include "fs/ext3.h"
+#include "names.h"
 
 namespace netstore::fs {
 namespace {
@@ -46,7 +47,7 @@ TEST_F(JournalTest, UpdateAggregationLogsBlockOnce) {
   // Many updates touching the same metadata blocks within one window are
   // logged once each (the paper's §4.2 insight).
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(fs_->create(kRootIno, "f" + std::to_string(i), 0644).ok());
+    ASSERT_TRUE(fs_->create(kRootIno, test::numbered("f", i), 0644).ok());
   }
   const std::size_t txn_blocks = fs_->journal().running_size();
   // 64 creates dirty: root dir block(s), inode bitmap, 2-3 inode table
@@ -96,8 +97,8 @@ TEST_F(JournalTest, JournalWrapsAndCheckpoints) {
   for (int round = 0; round < 60; ++round) {
     for (int i = 0; i < 40; ++i) {
       ASSERT_TRUE(fs_->create(kRootIno,
-                              "r" + std::to_string(round) + "_" +
-                                  std::to_string(i),
+                              test::numbered(
+                                  test::numbered("r", round) + "_", i),
                               0644)
                       .ok());
     }

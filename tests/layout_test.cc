@@ -8,6 +8,7 @@
 #include "block/mem_device.h"
 #include "fs/ext3.h"
 #include "fs/layout.h"
+#include "names.h"
 
 namespace netstore::fs {
 namespace {
@@ -163,14 +164,14 @@ TEST_F(DirentPackingTest, SlotReuseAfterRemoval) {
   // Fill, punch holes, refill: freed dirent slots must be reclaimed
   // without growing the directory.
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(fs_->create(kRootIno, "n" + std::to_string(i), 0644).ok());
+    ASSERT_TRUE(fs_->create(kRootIno, test::numbered("n", i), 0644).ok());
   }
   const auto size_before = fs_->getattr(kRootIno)->size;
   for (int i = 0; i < 64; i += 2) {
-    ASSERT_TRUE(fs_->unlink(kRootIno, "n" + std::to_string(i)).ok());
+    ASSERT_TRUE(fs_->unlink(kRootIno, test::numbered("n", i)).ok());
   }
   for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(fs_->create(kRootIno, "r" + std::to_string(i), 0644).ok());
+    ASSERT_TRUE(fs_->create(kRootIno, test::numbered("r", i), 0644).ok());
   }
   EXPECT_EQ(fs_->getattr(kRootIno)->size, size_before);
   // All names resolve correctly after the churn.

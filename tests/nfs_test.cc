@@ -3,6 +3,7 @@
 // semantics, and per-version differences the paper measures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -192,6 +193,29 @@ TEST(NfsClientTest, WarmReadServedFromCacheInsideWindow) {
   rig.reset();
   ASSERT_TRUE(rig.client_->read(*fh, 0, out).ok());
   EXPECT_EQ(rig.calls(), 0u);  // pure cache hit inside the window
+}
+
+// Unlink drops the removed file's pages through its per-handle page list;
+// another file's pages must stay resident and keep serving reads.
+TEST(NfsClientTest, UnlinkDropsOnlyThatFilesPages) {
+  NfsRig rig;
+  std::vector<std::uint8_t> data(8192, 0x5E);
+  std::vector<std::uint8_t> out(8192);
+  auto a = rig.client_->creat("/a", 0644);
+  auto b = rig.client_->creat("/b", 0644);
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (const Fh fh : {*a, *b}) {
+    ASSERT_TRUE(rig.client_->write(fh, 0, data).ok());
+    ASSERT_TRUE(rig.client_->close(fh).ok());
+    ASSERT_TRUE(rig.client_->read(fh, 0, out).ok());  // populate cache
+  }
+  ASSERT_TRUE(rig.client_->unlink("/a").ok());
+  rig.client_->check_page_index();
+  rig.reset();
+  std::fill(out.begin(), out.end(), 0);
+  ASSERT_TRUE(rig.client_->read(*b, 0, out).ok());
+  EXPECT_EQ(rig.calls(), 0u);  // still a pure cache hit
+  EXPECT_EQ(out, data);
 }
 
 // The zero-copy read path (DESIGN.md §19): a cached full-block read

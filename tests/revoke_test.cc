@@ -11,6 +11,7 @@
 #include "core/cpu_model.h"
 #include "fs/ext3.h"
 #include "sim/rng.h"
+#include "names.h"
 
 namespace netstore::fs {
 namespace {
@@ -94,7 +95,7 @@ TEST_F(RevokeTest, ChurnWithPeriodicCrashes) {
   for (int round = 0; round < 10; ++round) {
     const std::string d = "/d" + std::to_string(round);
     ASSERT_TRUE(fs_->mkdir(kRootIno, d.substr(1), 0755).ok());
-    auto f = fs_->create(kRootIno, "f" + std::to_string(round), 0644);
+    auto f = fs_->create(kRootIno, test::numbered("f", round), 0644);
     ASSERT_TRUE(f.ok());
     std::vector<std::uint8_t> data(
         static_cast<std::size_t>(rng.uniform_range(4096, 40000)),
